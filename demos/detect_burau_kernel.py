@@ -12,7 +12,7 @@ from braidrep import (
     bigelow_beta,
     burau_reduced,
     corner_entry,
-    numeric_rep_of_pure_braid,
+    numeric_rep_of_word,
     phi_pure,
     strand_assignment,
 )
@@ -32,9 +32,10 @@ word = phi_pure(beta)
 print(f"collinearity-event word: {len(word)} letters after free reduction")
 
 # Substitute t1 = -1 and every other variable 1; the product of the 20x20
-# specialised letter matrices lands away from the identity.
+# specialised letter matrices, folded as column operations, lands away
+# from the identity.
 assignment = strand_assignment(5, {"t1": -1})
-matrix = numeric_rep_of_pure_braid(beta, assignment)
+matrix = numeric_rep_of_word(word, assignment)
 corner = corner_entry(matrix, (1, 2), (1, 2))
 print(f"event representation at t1=-1, rest 1:")
 print(f"  identity: {matrix.is_identity()}")
@@ -43,7 +44,7 @@ print(f"  <x_12| M |x_12> = {corner}")
 # The same letters regarded on six strands, with t1 = s1 = -1.
 beta6 = bigelow_beta(6)
 assignment6 = strand_assignment(6, {"t1": -1, "s1": -1})
-matrix6 = numeric_rep_of_pure_braid(beta6, assignment6)
+matrix6 = numeric_rep_of_word(phi_pure(beta6), assignment6)
 print(f"on six strands at t1=s1=-1, rest 1:")
 print(f"  identity: {matrix6.is_identity()}")
 print(f"  <x_12| M |x_12> = {corner_entry(matrix6, (1, 2), (1, 2))}")

@@ -21,12 +21,8 @@ from .matrixrep import (
     check_braid_relations,
     check_relations,
     corner_entry,
-    numeric_rep_of_pure_braid,
     numeric_rep_of_word,
-    rep_of_pure_braid,
     rep_of_word,
-    rho_generator,
-    specialize,
     strand_assignment,
 )
 from .permutations import Permutation
@@ -53,16 +49,12 @@ __all__ = [
     "check_relations",
     "commutator",
     "corner_entry",
-    "numeric_rep_of_pure_braid",
     "numeric_rep_of_word",
     "phi_generator",
     "phi_pure",
     "phi_word",
     "rational_str",
-    "rep_of_pure_braid",
     "rep_of_word",
-    "rho_generator",
-    "specialize",
     "strand_assignment",
 ]
 

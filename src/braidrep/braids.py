@@ -23,6 +23,10 @@ COMMUTATOR_ABA_B = "aba-b-"   # [a, b] = a b a^-1 b^-1
 COMMUTATOR_A_B_AB = "a-b-ab"  # [a, b] = a^-1 b^-1 a b
 DEFAULT_COMMUTATOR_CONVENTION = COMMUTATOR_ABA_B
 
+# Most letters BraidWord.parse accepts, counted after power expansion and
+# checked before any power is expanded.
+MAX_LETTERS = 4096
+
 
 class BraidWord:
     __slots__ = ("n", "letters")
@@ -41,7 +45,8 @@ class BraidWord:
 
     @classmethod
     def parse(cls, text, n):
-        """Parse "s1 s2^-1" or the signed-integer form "1 -2"; powers expand."""
+        """Parse "s1 s2^-1" or the signed-integer form "1 -2"; powers expand,
+        up to MAX_LETTERS letters in all."""
         items = text.split()
         letters = []
         for item in items:
@@ -61,6 +66,8 @@ class BraidWord:
                 raise BraidParseError(
                     f"generator index {index} out of range 1..{n - 1}"
                 )
+            if len(letters) + abs(power) > MAX_LETTERS:
+                raise BraidParseError(f"braid longer than {MAX_LETTERS} letters")
             sign = 1 if power > 0 else -1
             letters.extend([(index, sign)] * abs(power))
         return cls(n, letters)

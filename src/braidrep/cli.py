@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -30,8 +31,10 @@ from .matrixrep import (
     burau_reduced,
     burau_unreduced,
     basis_index,
+    basis_pairs,
     check_braid_relations,
     check_relations,
+    corner_entry,
     numeric_rep_of_word,
     rep_of_word,
     report_passed,
@@ -40,6 +43,12 @@ from .matrixrep import (
 
 USAGE_ERROR = 2
 FAILURE = 1
+
+# Input bounds, checked before anything is allocated: the strand count of
+# phi, rep, burau and simulate --sigma (rep matrices are n(n-1) square) and
+# the segment count of a built-in swap motion.
+MAX_STRANDS = 32
+MAX_SEGMENTS = 1 << 16
 
 
 class CliError(Exception):
@@ -171,9 +180,14 @@ def _entry_pair(name, n):
     raise CliError(f"not a basis pair for n={n}: {name!r}", USAGE_ERROR)
 
 
+def _check_strands(n, least):
+    if not least <= n <= MAX_STRANDS:
+        raise CliError(f"strand count must be between {least} and {MAX_STRANDS}",
+                       USAGE_ERROR)
+
+
 def cmd_phi(args):
-    if args.n < 2:
-        raise CliError("need --n at least 2", USAGE_ERROR)
+    _check_strands(args.n, 2)
     word = _parse_braid(args)
     element = phi_word(word)
     return {
@@ -184,8 +198,7 @@ def cmd_phi(args):
 
 
 def cmd_rep(args):
-    if args.n < 3:
-        raise CliError("need --n at least 3", USAGE_ERROR)
+    _check_strands(args.n, 3)
     braid = _parse_braid(args)
     assignment = _assignment(args, args.n)
     try:
@@ -194,30 +207,26 @@ def cmd_rep(args):
         raise CliError(str(exc), FAILURE)
     if assignment is not None:
         matrix = numeric_rep_of_word(word, assignment)
-        if args.entry:
-            row = _entry_pair(args.entry[0], args.n)
-            col = _entry_pair(args.entry[1], args.n)
-            index = basis_index(args.n)
-            return rational_str(matrix.entry(index[row], index[col]))
-        basis = [f"x_{p}_{q}" for p, q in sorted(basis_index(args.n))]
-        return matrix.to_json(basis, args.n)
-    if len(word) > 60 and not args.symbolic:
-        raise CliError(
-            "long symbolic product; pass --symbolic to allow it, or "
-            "specialise with --set/--set-rest",
-            USAGE_ERROR,
-        )
-    matrix = rep_of_word(word)
+        show = rational_str
+    else:
+        if len(word) > 60 and not args.symbolic:
+            raise CliError(
+                "long symbolic product; pass --symbolic to allow it, or "
+                "specialise with --set/--set-rest",
+                USAGE_ERROR,
+            )
+        matrix = rep_of_word(word)
+        show = str
     if args.entry:
         row = _entry_pair(args.entry[0], args.n)
         col = _entry_pair(args.entry[1], args.n)
-        return str(matrix.pair_entry(row, col))
-    return matrix.to_json()
+        return show(corner_entry(matrix, row, col))
+    basis = [f"x_{p}_{q}" for p, q in basis_pairs(args.n)]
+    return matrix.to_json(basis, args.n)
 
 
 def cmd_burau(args):
-    if args.n < 2:
-        raise CliError("need --n at least 2", USAGE_ERROR)
+    _check_strands(args.n, 2)
     braid = _parse_braid(args)
     if args.reduced:
         matrix = burau_reduced(braid)
@@ -276,8 +285,13 @@ def cmd_check(args):
 def cmd_simulate(args):
     if (args.file is None) == (args.sigma is None):
         raise CliError("give a trajectory file or --sigma N I", USAGE_ERROR)
+    if not (math.isfinite(args.tolerance) and args.tolerance > 0):
+        raise CliError("--tolerance must be a positive number", USAGE_ERROR)
     if args.sigma is not None:
         n, i = args.sigma
+        _check_strands(n, 3)
+        if args.segments > MAX_SEGMENTS:
+            raise CliError(f"--segments is at most {MAX_SEGMENTS}", USAGE_ERROR)
         try:
             ts = sigma_motion(n, i, args.segments)
         except ValueError as exc:

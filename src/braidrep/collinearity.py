@@ -161,6 +161,12 @@ def trajectories_from_json(data):
             isinstance(bp, list) and len(bp) == 3 for bp in path
         ):
             raise TrajectoryError("each breakpoint must be a [t, x, y] triple")
+    try:
+        paths = [[tuple(float(v) for v in bp) for bp in path] for path in paths]
+    except (TypeError, ValueError) as exc:
+        raise TrajectoryError(f"breakpoint values must be numbers: {exc}") from exc
+    if not all(math.isfinite(v) for path in paths for bp in path for v in bp):
+        raise TrajectoryError("breakpoint values must be finite")
     return TrajectorySet(paths)
 
 

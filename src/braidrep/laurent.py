@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import add
 
 
 class ParseError(ValueError):
@@ -249,7 +250,7 @@ class LaurentPoly:
         terms = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 s = terms.get(e, 0) + c1 * c2
                 if s == 0:
                     terms.pop(e, None)
@@ -280,6 +281,9 @@ class LaurentPoly:
 
     def __hash__(self):
         return hash((self.ring, frozenset(self.terms.items())))
+
+    def __bool__(self):
+        return bool(self.terms)
 
     def is_zero(self):
         return not self.terms

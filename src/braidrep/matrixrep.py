@@ -1,7 +1,7 @@
 """Matrix representation of the triple-generator group on the free module
-with basis x_pq (ordered pairs of distinct strand indices), its pullback
-to pure braids, rational specialisation, and the classical Burau
-representation as a comparison baseline.
+with basis x_pq (ordered pairs of distinct strand indices), its rational
+specialisation, and the classical Burau representation as a comparison
+baseline.
 
 The generator a(i,j,k) acts by
 
@@ -10,19 +10,27 @@ The generator a(i,j,k) acts by
     x_jk |-> s_j x_jk
     x_ji |-> s_j^-1 x_ji
 
-and fixes every other basis vector.  Matrices store the image of basis
-vector c in column c and act on coordinate columns from the left.  Whether
-a word maps to the left-to-right or right-to-left product of its letter
-matrices is a convention the source data does not fix; both are available
-and the calibrated default is recorded in DEFAULT_PRODUCT_ORDER.
+and fixes every other basis vector; a(k,j,i) is its inverse.  Matrices
+store the image of basis vector c in column c.  A word maps to the
+left-to-right (word) or right-to-left (reversed) product of its letter
+matrices; the source data does not fix which, so both exist and the
+calibrated default is DEFAULT_PRODUCT_ORDER.
+
+No letter matrix is built: a product is one fold over sparse lines
+({index: nonzero value}) from the identity on.  M . a(i,j,k) rewrites the
+columns ij, kj, jk, ji of M, a(i,j,k) . M the rows ij, ik, kj, ki, jk, ji,
+and a Burau letter two columns.  Scalars are LaurentPoly (symbolic), int
+(every specialised value +-1, its own inverse) or exact Fraction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
+from itertools import combinations, permutations
 
 from .braids import BraidWord
-from .gn3 import phi_pure
+from .gn3 import phi_word
 from .laurent import LaurentRing, rational_str
 
 PRODUCT_WORD_ORDER = "word"          # word u v  ->  M(u) . M(v)
@@ -35,13 +43,9 @@ def basis_pairs(n):
     return [(p, q) for p in range(1, n + 1) for q in range(1, n + 1) if p != q]
 
 
-_BASIS_INDEX_CACHE = {}
-
-
+@cache
 def basis_index(n):
-    if n not in _BASIS_INDEX_CACHE:
-        _BASIS_INDEX_CACHE[n] = {pq: pos for pos, pq in enumerate(basis_pairs(n))}
-    return _BASIS_INDEX_CACHE[n]
+    return {pq: pos for pos, pq in enumerate(basis_pairs(n))}
 
 
 class PolyMatrix:
@@ -117,7 +121,7 @@ class PolyMatrix:
         rows = [[Fraction(0)] * self.dim for _ in range(self.dim)]
         for r, c, v in self.nonzero_entries():
             rows[r][c] = v.eval(assignment)
-        return NumericMatrix(self.dim, rows)
+        return NumericMatrix(self.dim, rows, getattr(self, "n", None))
 
     def to_json(self, basis, n=None):
         entries = [
@@ -131,19 +135,17 @@ class PolyMatrix:
 
 
 class NumericMatrix:
-    """Dense square matrix of exact rationals."""
+    """Dense square matrix of exact rationals (int or Fraction entries);
+    n is the strand count when the rows are indexed by the x_pq basis."""
 
-    __slots__ = ("dim", "rows")
+    __slots__ = ("dim", "rows", "n")
 
-    def __init__(self, dim, rows):
+    def __init__(self, dim, rows, n=None):
         self.dim = dim
-        self.rows = [[Fraction(v) for v in row] for row in rows]
+        self.rows = rows
+        self.n = n
         if len(self.rows) != dim or any(len(row) != dim for row in self.rows):
             raise ValueError("matrix shape mismatch")
-
-    @classmethod
-    def identity(cls, dim):
-        return cls(dim, [[1 if r == c else 0 for c in range(dim)] for r in range(dim)])
 
     def entry(self, r, c):
         return self.rows[r][c]
@@ -167,7 +169,7 @@ class NumericMatrix:
                     continue
                 for c, b in sparse[k]:
                     orow[c] += a * b
-        return NumericMatrix(dim, out)
+        return NumericMatrix(dim, out, self.n)
 
     def __eq__(self, other):
         return (
@@ -205,12 +207,6 @@ class RepMatrix(PolyMatrix):
         super().__init__(LaurentRing.for_strands(n), n * (n - 1), rows)
         self.n = n
 
-    @classmethod
-    def identity_for(cls, n):
-        out = cls(n)
-        out.rows = PolyMatrix.identity(out.ring, out.dim).rows
-        return out
-
     def __mul__(self, other):
         out = PolyMatrix.__mul__(self, other)
         if out is NotImplemented:
@@ -218,106 +214,137 @@ class RepMatrix(PolyMatrix):
         out.n = self.n
         return out
 
-    def pair_entry(self, row_pair, col_pair):
-        index = basis_index(self.n)
-        if row_pair not in index or col_pair not in index:
-            raise ValueError(f"invalid basis pair {row_pair} or {col_pair}")
-        return self.entry(index[row_pair], index[col_pair])
 
-    def basis_names(self):
-        return [f"x_{p}_{q}" for p, q in basis_pairs(self.n)]
+# ---------------------------------------------------------------------------
+# The column-operation fold.
 
-    def to_json(self, basis=None, n=None):
-        return super().to_json(basis or self.basis_names(), n or self.n)
+def _line_ops(rules, one):
+    """Normalise a letter's rewrites [(target, [(coefficient, source), ...])]:
+    zero terms and identity rewrites are dropped, and a unit coefficient
+    becomes None so that the fold copies the line instead of scaling it."""
+    ops = []
+    for target, terms in rules:
+        terms = tuple((None if c == one else c, source) for c, source in terms if c)
+        if terms != ((None, target),):
+            ops.append((target, terms))
+    return tuple(ops)
 
 
-def rho_generator(n, i, j, k, exponent=1):
-    """Matrix of a(i,j,k)^exponent; the inverse letter is the matrix of the
-    reversed triple a(k,j,i)."""
-    if exponent == -1:
-        return rho_generator(n, k, j, i, 1)
-    if exponent != 1:
-        raise ValueError(f"exponent must be +-1, got {exponent}")
-    if len({i, j, k}) != 3:
-        raise ValueError(f"indices must be pairwise distinct: {(i, j, k)}")
-    for v in (i, j, k):
-        if not 1 <= v <= n:
-            raise ValueError(f"index {v} out of range 1..{n}")
-    ring = LaurentRing.for_strands(n)
-    index = basis_index(n)
-    m = RepMatrix.identity_for(n)
-    one = ring.one()
-    t_i = ring.var(f"t{i}")
-    t_k_inv = ring.var(f"t{k}", -1)
-    s_j = ring.var(f"s{j}")
-    s_j_inv = ring.var(f"s{j}", -1)
-
-    def set_column(col_pair, images):
-        c = index[col_pair]
-        for r in list(m.rows):
-            m.rows[r].pop(c, None)
-            if not m.rows[r]:
-                del m.rows[r]
-        for row_pair, value in images.items():
-            if value.is_zero():
+def _combine(lines, terms):
+    """Sparse sum of coefficient * lines[source] over the terms."""
+    (a, source), rest = terms[0], terms[1:]
+    line = lines[source]
+    out = line.copy() if a is None else {r: a * v for r, v in line.items()}
+    for b, source in rest:
+        for r, v in lines[source].items():
+            if b is not None:
+                v = b * v
+            w = out.get(r)
+            if w is None:
+                out[r] = v
                 continue
-            m.rows.setdefault(index[row_pair], {})[c] = value
+            w = w + v
+            if w:
+                out[r] = w
+            else:
+                del out[r]
+    return out
 
-    set_column((i, j), {(i, j): t_i, (i, k): one - t_i})
-    set_column((k, j), {(k, j): t_k_inv, (k, i): one - t_k_inv})
-    set_column((j, k), {(j, k): s_j})
-    set_column((j, i), {(j, i): s_j_inv})
-    return m
+
+def _fold(dim, one, letters, ops):
+    """Lines of the product of the letters, from the identity on.  ops(letter)
+    gives the letter's rewrites; each new line is read from the old lines."""
+    lines = [{r: one} for r in range(dim)]
+    for letter in letters:
+        new = [(target, _combine(lines, terms)) for target, terms in ops(letter)]
+        for target, line in new:
+            lines[target] = line
+    return lines
+
+
+def _gn_ops(n, scalar, one, order):
+    """Rewrites of the lines for the letter a(i,j,k), one computation per
+    triple; scalar(name) is the pair (value, inverse) of a variable."""
+    if order not in (PRODUCT_WORD_ORDER, PRODUCT_REVERSED_ORDER):
+        raise ValueError(f"unknown product order {order!r}")
+    index = basis_index(n)
+
+    @cache
+    def ops(triple):
+        i, j, k = triple
+        t, _ = scalar(f"t{i}")
+        _, u = scalar(f"t{k}")
+        s, s_inv = scalar(f"s{j}")
+        ij, ik, kj, ki, jk, ji = (
+            index[pair] for pair in ((i, j), (i, k), (k, j), (k, i), (j, k), (j, i))
+        )
+        if order == PRODUCT_WORD_ORDER:     # M . a: the lines are columns
+            rules = [(ij, [(t, ij), (one - t, ik)]), (kj, [(u, kj), (one - u, ki)]),
+                     (jk, [(s, jk)]), (ji, [(s_inv, ji)])]
+        else:                               # a . M: the lines are rows
+            rules = [(ij, [(t, ij)]), (ik, [(one, ik), (one - t, ij)]),
+                     (kj, [(u, kj)]), (ki, [(one, ki), (one - u, kj)]),
+                     (jk, [(s, jk)]), (ji, [(s_inv, ji)])]
+        return _line_ops(rules, one)
+
+    return ops
+
+
+def _word_lines(word, scalar, one, order):
+    ops = _gn_ops(word.n, scalar, one, order)
+    triples = (t if e == 1 else t[::-1] for t, e in word.letters)
+    return _fold(word.n * (word.n - 1), one, triples, ops)
+
+
+def _rows(lines, order):
+    """Sparse rows {r: {c: value}} of folded lines."""
+    if order == PRODUCT_REVERSED_ORDER:
+        return {r: line for r, line in enumerate(lines) if line}
+    rows = {}
+    for c, line in enumerate(lines):
+        for r, v in line.items():
+            rows.setdefault(r, {})[c] = v
+    return rows
+
+
+def _laurent_scalar(ring):
+    return lambda name: (ring.var(name), ring.var(name, -1))
 
 
 def rep_of_word(word, order=None):
     """Matrix image of a triple-generator word under the chosen product
     order; the empty word maps to the identity."""
     order = order or DEFAULT_PRODUCT_ORDER
-    m = RepMatrix.identity_for(word.n)
-    for (i, j, k), e in word.letters:
-        g = rho_generator(word.n, i, j, k, e)
-        if order == PRODUCT_WORD_ORDER:
-            m = m * g
-        elif order == PRODUCT_REVERSED_ORDER:
-            m = g * m
-        else:
-            raise ValueError(f"unknown product order {order!r}")
-    return m
-
-
-def rep_of_pure_braid(w, order=None):
-    """Symbolic matrix of a pure braid through the event homomorphism."""
-    return rep_of_word(phi_pure(w), order)
-
-
-def specialize(matrix, assignment):
-    """Entrywise exact-rational evaluation."""
-    return matrix.specialize(assignment)
+    ring = LaurentRing.for_strands(word.n)
+    lines = _word_lines(word, _laurent_scalar(ring), ring.one(), order)
+    return RepMatrix(word.n, _rows(lines, order))
 
 
 def numeric_rep_of_word(word, assignment, order=None):
-    """Specialise each letter matrix, then fold the product numerically.
+    """The matrix of the word with every variable specialised, folded in
+    int when all values are +-1 and in exact Fractions otherwise.
 
     Specialisation is a ring homomorphism, so this equals specialising the
     symbolic product; it is the fast path for long words."""
     order = order or DEFAULT_PRODUCT_ORDER
-    if order not in (PRODUCT_WORD_ORDER, PRODUCT_REVERSED_ORDER):
-        raise ValueError(f"unknown product order {order!r}")
-    dim = word.n * (word.n - 1)
-    cache = {}
-    m = NumericMatrix.identity(dim)
-    for (i, j, k), e in word.letters:
-        key = (i, j, k, e)
-        if key not in cache:
-            cache[key] = rho_generator(word.n, i, j, k, e).specialize(assignment)
-        g = cache[key]
-        m = m * g if order == PRODUCT_WORD_ORDER else g * m
-    return m
-
-
-def numeric_rep_of_pure_braid(w, assignment, order=None):
-    return numeric_rep_of_word(phi_pure(w), assignment, order)
+    names = LaurentRing.for_strands(word.n).names
+    missing = [name for name in names if name not in assignment]
+    if missing:
+        raise ValueError(f"missing assignment for variable {missing[0]!r}")
+    values = [Fraction(assignment[name]) for name in names]
+    if not all(values):
+        raise ValueError("variables are units; zero assignments are not allowed")
+    if all(abs(v) == 1 for v in values):
+        scalars = {name: (int(v), int(v)) for name, v in zip(names, values)}
+    else:
+        scalars = {name: (v, 1 / v) for name, v in zip(names, values)}
+    lines = _word_lines(word, scalars.__getitem__, 1, order)
+    dim = len(lines)
+    dense = [[0] * dim for _ in range(dim)]
+    for r, row in _rows(lines, order).items():
+        for c, v in row.items():
+            dense[r][c] = v
+    return NumericMatrix(dim, dense, word.n)
 
 
 def strand_assignment(n, values=None, rest=1):
@@ -335,38 +362,17 @@ def strand_assignment(n, values=None, rest=1):
 
 def corner_entry(matrix, row_pair, col_pair):
     """Coefficient of basis vector row_pair in the image of col_pair."""
-    if isinstance(matrix, RepMatrix):
-        return matrix.pair_entry(row_pair, col_pair)
-    if isinstance(matrix, NumericMatrix):
-        n = _strands_for_dim(matrix.dim)
-        index = basis_index(n)
-        if row_pair not in index or col_pair not in index:
-            raise ValueError(f"invalid basis pair {row_pair} or {col_pair}")
-        return matrix.entry(index[row_pair], index[col_pair])
-    raise TypeError(f"unsupported matrix type {type(matrix).__name__}")
-
-
-def _strands_for_dim(dim):
-    n = 2
-    while n * (n - 1) < dim:
-        n += 1
-    if n * (n - 1) != dim:
-        raise ValueError(f"{dim} is not n*(n-1) for any n")
-    return n
+    n = getattr(matrix, "n", None)
+    if n is None:
+        raise TypeError(f"{type(matrix).__name__} is not indexed by basis pairs")
+    index = basis_index(n)
+    if row_pair not in index or col_pair not in index:
+        raise ValueError(f"invalid basis pair {row_pair} or {col_pair}")
+    return matrix.entry(index[row_pair], index[col_pair])
 
 
 # ---------------------------------------------------------------------------
 # Defining-relation checks, run symbolically.
-
-def _triples(n):
-    return [
-        (i, j, k)
-        for i in range(1, n + 1)
-        for j in range(1, n + 1)
-        for k in range(1, n + 1)
-        if len({i, j, k}) == 3
-    ]
-
 
 def check_relations(n):
     """Verify the three defining relations on the generator matrices.
@@ -374,60 +380,34 @@ def check_relations(n):
     Relation 1 (reversed triple is the inverse) over all ordered triples;
     relation 2 (commutation when six slots carry at least five distinct
     indices) over all qualifying unordered pairs; relation 3 (tetrahedron)
-    over all orderings of every 4-element index subset.  Returns a list of
-    per-instance report dicts."""
+    over all orderings of every 4-element index subset.  Each side is a
+    fold of at most four letters.  Returns a list of per-instance report
+    dicts."""
     if n < 4:
         raise ValueError("relation checks need n >= 4")
-    report = []
-    identity = RepMatrix.identity_for(n)
-    gen = {}
-
-    def matrix(t):
-        if t not in gen:
-            gen[t] = rho_generator(n, *t)
-        return gen[t]
-
-    triples = _triples(n)
-    for t in triples:
-        ok = matrix(t) * matrix(t[::-1]) == identity
-        report.append(
-            {"relation": 1, "instance": f"a{t} a{t[::-1]} = 1", "ok": ok}
-        )
-
-    for a_pos in range(len(triples)):
-        for b_pos in range(a_pos + 1, len(triples)):
-            t1, t2 = triples[a_pos], triples[b_pos]
-            if len(set(t1) | set(t2)) < 5:
-                continue
-            ok = matrix(t1) * matrix(t2) == matrix(t2) * matrix(t1)
-            report.append(
-                {"relation": 2, "instance": f"a{t1} a{t2} commute", "ok": ok}
-            )
-
-    from itertools import combinations, permutations
-
-    for subset in combinations(range(1, n + 1), 4):
-        for i, j, k, l in permutations(subset):
-            lhs = (
-                matrix((i, j, k))
-                * matrix((i, j, l))
-                * matrix((i, k, l))
-                * matrix((j, k, l))
-            )
-            rhs = (
-                matrix((j, k, l))
-                * matrix((i, k, l))
-                * matrix((i, j, l))
-                * matrix((i, j, k))
-            )
-            report.append(
-                {
-                    "relation": 3,
-                    "instance": f"tetrahedron ({i},{j},{k},{l})",
-                    "ok": lhs == rhs,
-                }
-            )
-    return report
+    ring = LaurentRing.for_strands(n)
+    one, dim = ring.one(), n * (n - 1)
+    ops = _gn_ops(n, _laurent_scalar(ring), one, PRODUCT_WORD_ORDER)
+    triples = list(permutations(range(1, n + 1), 3))
+    # (relation, instance, left word, right word); each word is 0-4 triples
+    instances = [(1, f"a{t} a{t[::-1]} = 1", (t, t[::-1]), ()) for t in triples]
+    instances += [
+        (2, f"a{t1} a{t2} commute", (t1, t2), (t2, t1))
+        for t1, t2 in combinations(triples, 2)
+        if len(set(t1) | set(t2)) >= 5
+    ]
+    instances += [
+        (3, f"tetrahedron ({i},{j},{k},{l})",
+         ((i, j, k), (i, j, l), (i, k, l), (j, k, l)),
+         ((j, k, l), (i, k, l), (i, j, l), (i, j, k)))
+        for subset in combinations(range(1, n + 1), 4)
+        for i, j, k, l in permutations(subset)
+    ]
+    return [
+        {"relation": relation, "instance": instance,
+         "ok": _fold(dim, one, lhs, ops) == _fold(dim, one, rhs, ops)}
+        for relation, instance, lhs, rhs in instances
+    ]
 
 
 def check_braid_relations(n):
@@ -435,28 +415,22 @@ def check_braid_relations(n):
     images of the Artin generators under the event homomorphism."""
     if n < 3:
         raise ValueError("braid relation checks need n >= 3")
-    from .gn3 import phi_word
 
-    report = []
-    for i in range(1, n - 1):
-        u = phi_word(BraidWord.parse(f"s{i} s{i + 1} s{i}", n))
-        v = phi_word(BraidWord.parse(f"s{i + 1} s{i} s{i + 1}", n))
-        ok = u.perm == v.perm and rep_of_word(u.word) == rep_of_word(v.word)
-        report.append(
-            {"relation": "artin", "instance": f"i={i}", "ok": ok}
-        )
-    for i in range(1, n - 1):
-        for j in range(i + 2, n):
-            u = phi_word(BraidWord.parse(f"s{i} s{j}", n))
-            v = phi_word(BraidWord.parse(f"s{j} s{i}", n))
-            ok = u.perm == v.perm and rep_of_word(u.word) == rep_of_word(v.word)
-            report.append(
-                {
-                    "relation": "far-commutativity",
-                    "instance": f"(i,j)=({i},{j})",
-                    "ok": ok,
-                }
-            )
+    def same(a, b):
+        u, v = (phi_word(BraidWord.parse(text, n)) for text in (a, b))
+        return u.perm == v.perm and rep_of_word(u.word) == rep_of_word(v.word)
+
+    report = [
+        {"relation": "artin", "instance": f"i={i}",
+         "ok": same(f"s{i} s{i + 1} s{i}", f"s{i + 1} s{i} s{i + 1}")}
+        for i in range(1, n - 1)
+    ]
+    report += [
+        {"relation": "far-commutativity", "instance": f"(i,j)=({i},{j})",
+         "ok": same(f"s{i} s{j}", f"s{j} s{i}")}
+        for i in range(1, n - 1)
+        for j in range(i + 2, n)
+    ]
     return report
 
 
@@ -467,35 +441,28 @@ def report_passed(report):
 # ---------------------------------------------------------------------------
 # Burau representation over Z[t, t^-1].
 
-def _burau_block(exponent):
-    ring = LaurentRing.burau()
-    t = ring.var("t")
-    one = ring.one()
-    if exponent == 1:
-        return [[one - t, t], [one, ring.zero()]]
-    return [[ring.zero(), one], [t.monomial_inverse(), one - t.monomial_inverse()]]
-
-
 def burau_unreduced(w):
     """Product of the n x n single-variable matrices, one per letter, with
-    the 2x2 block [[1-t, t], [1, 0]] at strands (i, i+1)."""
+    the 2x2 block [[1-t, t], [1, 0]] at strands (i, i+1) (its inverse
+    [[0, 1], [t^-1, 1-t^-1]] for s_i^-1), folded as two column operations
+    per letter."""
     ring = LaurentRing.burau()
-    m = PolyMatrix.identity(ring, w.n)
-    for i, e in w.letters:
-        g = PolyMatrix.identity(ring, w.n)
-        block = _burau_block(e)
-        for dr in (0, 1):
-            row = {}
-            for dc in (0, 1):
-                v = block[dr][dc]
-                if not v.is_zero():
-                    row[i - 1 + dc] = v
-            if row:
-                g.rows[i - 1 + dr] = row
-            else:
-                g.rows.pop(i - 1 + dr, None)
-        m = m * g
-    return m
+    one = ring.one()
+    t = ring.var("t")
+    u = ring.var("t", -1)
+
+    @cache
+    def ops(letter):
+        i, e = letter
+        a, b = i - 1, i
+        if e == 1:
+            rules = [(a, [(one - t, a), (one, b)]), (b, [(t, a)])]
+        else:
+            rules = [(a, [(u, b)]), (b, [(one, a), (one - u, b)])]
+        return _line_ops(rules, one)
+
+    lines = _fold(w.n, one, w.letters, ops)
+    return PolyMatrix(ring, w.n, _rows(lines, PRODUCT_WORD_ORDER))
 
 
 def burau_reduced(w):

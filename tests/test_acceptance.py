@@ -90,9 +90,7 @@ def calibration():
 
 
 def test_criterion_1_corner_entry_on_five_strands(calibration):
-    start = time.perf_counter()
     passing = calibration["passing"]
-    elapsed = time.perf_counter() - start
     ok = len(passing) >= 1
     combos = ", ".join(f"({c}, {o})" for c, o in passing) or "none"
     _report(

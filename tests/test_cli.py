@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from braidrep.cli import main
+from braidrep.braids import MAX_LETTERS
+from braidrep.cli import MAX_SEGMENTS, MAX_STRANDS, main
 
 
 def run(capsys, *argv):
@@ -234,3 +235,56 @@ def test_usage_error_exit_code(capsys):
     capsys.readouterr()
     assert main(["nonsense"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["phi", "rep", "burau"])
+@pytest.mark.parametrize("n", [MAX_STRANDS + 1, 10 ** 12])
+def test_strand_count_is_capped(capsys, command, n):
+    code, out, err = run(capsys, command, "--n", str(n), "s1^2")
+    assert code == 2 and out == ""
+    assert str(MAX_STRANDS) in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "braid",
+    [f"s1^{MAX_LETTERS + 1}", f"s1^-{10 ** 30}", "s1 " * (MAX_LETTERS + 1),
+     "s1^2 " * (MAX_LETTERS // 2) + "s2"],
+    ids=["power", "huge-power", "letters", "power-sum"],
+)
+@pytest.mark.parametrize("command", ["phi", "rep", "burau"])
+def test_braid_length_is_capped(capsys, command, braid):
+    code, out, err = run(capsys, command, "--n", "3", braid)
+    assert code == 2 and out == ""
+    assert f"longer than {MAX_LETTERS}" in err and len(err.splitlines()) == 1
+
+
+def test_simulate_sigma_size_is_capped(capsys):
+    code, _, err = run(capsys, "simulate", "--sigma", str(MAX_STRANDS + 1), "1")
+    assert code == 2 and str(MAX_STRANDS) in err
+    code, _, err = run(capsys, "simulate", "--sigma", "4", "1",
+                       "--segments", str(MAX_SEGMENTS + 1))
+    assert code == 2 and str(MAX_SEGMENTS) in err
+
+
+def test_simulate_rejects_non_numeric_coordinate(capsys, tmp_path):
+    doc = {
+        "n": 3,
+        "paths": [
+            [[0.0, "a", 0.0], [1.0, 0.0, 0.0]],
+            [[0.0, 1.0, 0.1], [1.0, 1.0, 0.1]],
+            [[0.0, 0.2, 1.0], [1.0, 0.2, 1.0]],
+        ],
+    }
+    path = tmp_path / "text.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "simulate", str(path))
+    assert code == 2 and out == ""
+    assert "malformed" in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "0", "-1e-9", "inf"])
+def test_simulate_rejects_bad_tolerance(capsys, tolerance):
+    code, out, err = run(capsys, "simulate", "--sigma", "4", "1",
+                         f"--tolerance={tolerance}")
+    assert code == 2 and out == ""
+    assert "--tolerance" in err

@@ -9,7 +9,6 @@ from braidrep.laurent import LaurentRing
 from braidrep.matrixrep import (
     NumericMatrix,
     PRODUCT_REVERSED_ORDER,
-    RepMatrix,
     basis_index,
     basis_pairs,
     burau_reduced,
@@ -18,13 +17,20 @@ from braidrep.matrixrep import (
     check_relations,
     corner_entry,
     numeric_rep_of_word,
-    rep_of_pure_braid,
     rep_of_word,
     report_passed,
-    rho_generator,
-    specialize,
     strand_assignment,
 )
+from oracle import word_product
+
+
+def identity_for(n):
+    return rep_of_word(GnWord(n))
+
+
+def letter(n, i, j, k, exponent=1):
+    """The matrix of one letter, as the fold of a one-letter word."""
+    return rep_of_word(GnWord(n, [((i, j, k), exponent)]))
 
 
 def random_gnword(n, length, rng):
@@ -62,33 +68,33 @@ def test_basis_order():
 
 def test_generator_column_of_x_ij():
     ring = LaurentRing.for_strands(5)
-    m = rho_generator(5, 1, 2, 3)
-    assert m.pair_entry((1, 2), (1, 2)) == ring.var("t1")
-    assert m.pair_entry((1, 3), (1, 2)) == ring.one() - ring.var("t1")
+    m = letter(5, 1, 2, 3)
+    assert corner_entry(m, (1, 2), (1, 2)) == ring.var("t1")
+    assert corner_entry(m, (1, 3), (1, 2)) == ring.one() - ring.var("t1")
 
 
 def test_generator_fixes_unrelated_basis_vectors():
     ring = LaurentRing.for_strands(5)
-    m = rho_generator(5, 1, 2, 3)
-    assert m.pair_entry((4, 5), (4, 5)) == ring.one()
-    assert m.pair_entry((1, 2), (4, 5)).is_zero()
+    m = letter(5, 1, 2, 3)
+    assert corner_entry(m, (4, 5), (4, 5)) == ring.one()
+    assert corner_entry(m, (1, 2), (4, 5)).is_zero()
 
 
 def test_generator_column_of_x_jk():
     ring = LaurentRing.for_strands(5)
-    m = rho_generator(5, 1, 2, 3)
-    assert m.pair_entry((2, 3), (2, 3)) == ring.var("s2")
-    assert m.pair_entry((2, 1), (2, 1)) == ring.var("s2", -1)
-    assert m.pair_entry((3, 2), (3, 2)) == ring.var("t3", -1)
-    assert m.pair_entry((3, 1), (3, 2)) == ring.one() - ring.var("t3", -1)
+    m = letter(5, 1, 2, 3)
+    assert corner_entry(m, (2, 3), (2, 3)) == ring.var("s2")
+    assert corner_entry(m, (2, 1), (2, 1)) == ring.var("s2", -1)
+    assert corner_entry(m, (3, 2), (3, 2)) == ring.var("t3", -1)
+    assert corner_entry(m, (3, 1), (3, 2)) == ring.one() - ring.var("t3", -1)
 
 
 def test_support_locality():
     # a generator touches only the six columns (and rows) of ordered pairs
     # inside its index triple
     n = 5
-    identity = RepMatrix.identity_for(n)
-    m = rho_generator(n, 2, 4, 5)
+    identity = identity_for(n)
+    m = letter(n, 2, 4, 5)
     special = {(p, q) for p in (2, 4, 5) for q in (2, 4, 5) if p != q}
     index = basis_index(n)
     for col_pair, c in index.items():
@@ -108,7 +114,7 @@ def test_generator_determinant():
     n = 4
     ring = LaurentRing.for_strands(n)
     for (i, j, k) in [(1, 2, 3), (2, 4, 1), (3, 1, 4)]:
-        m = rho_generator(n, i, j, k)
+        m = letter(n, i, j, k)
         index = basis_index(n)
         special = sorted(
             index[(p, q)] for p in (i, j, k) for q in (i, j, k) if p != q
@@ -127,16 +133,17 @@ def test_generator_determinant():
 
 def test_inverse_letter_is_reversed_triple():
     n = 4
-    assert rho_generator(n, 1, 2, 3, -1) == rho_generator(n, 3, 2, 1, 1)
+    assert letter(n, 1, 2, 3, -1) == letter(n, 3, 2, 1, 1)
 
 
 def test_generator_index_validation():
+    # the fold trusts its words; GnWord rejects malformed letters
     with pytest.raises(ValueError):
-        rho_generator(4, 1, 1, 2)
+        GnWord(4, [((1, 1, 2), 1)])
     with pytest.raises(ValueError):
-        rho_generator(4, 1, 2, 5)
+        GnWord(4, [((1, 2, 5), 1)])
     with pytest.raises(ValueError):
-        rho_generator(4, 1, 2, 3, 2)
+        GnWord(4, [((1, 2, 3), 2)])
 
 
 def test_word_of_reversed_triple_pair_maps_to_identity():
@@ -176,30 +183,31 @@ def test_reversed_product_order_is_antimultiplicative():
 
 
 def test_pure_braid_matrix_of_generator_square():
-    m = rep_of_pure_braid(BraidWord.parse("s1^2", 3))
-    assert m == rep_of_word(phi_pure(BraidWord.parse("s1^2", 3)))
+    word = phi_pure(BraidWord.parse("s1^2", 3))
+    m = rep_of_word(word)
+    assert m.rows == word_product(word)
     assert m.dim == 6
     assert not m.is_identity()
 
 
 def test_pure_braid_matrix_of_empty_braid():
-    assert rep_of_pure_braid(BraidWord(3)).is_identity()
+    assert rep_of_word(phi_pure(BraidWord(3))).is_identity()
 
 
 def test_pure_braid_matrix_rejects_non_pure():
     with pytest.raises(NotPureError):
-        rep_of_pure_braid(BraidWord.parse("s1", 3))
+        rep_of_word(phi_pure(BraidWord.parse("s1", 3)))
 
 
 def test_specialize_identity():
-    m = RepMatrix.identity_for(4)
-    assert specialize(m, strand_assignment(4)).is_identity()
+    m = identity_for(4)
+    assert m.specialize(strand_assignment(4)).is_identity()
 
 
 def test_specialize_generator_at_minus_one():
     # substituting t1 = -1 into the x_12 column gives -x_12 + 2 x_13
-    m = rho_generator(5, 1, 2, 3)
-    num = specialize(m, strand_assignment(5, {"t1": -1}))
+    m = letter(5, 1, 2, 3)
+    num = m.specialize(strand_assignment(5, {"t1": -1}))
     index = basis_index(5)
     assert num.entry(index[(1, 2)], index[(1, 2)]) == -1
     assert num.entry(index[(1, 3)], index[(1, 2)]) == 2
@@ -213,9 +221,9 @@ def test_specialize_commutes_with_products():
     for _ in range(20):
         u = random_gnword(4, rng.randint(0, 4), rng)
         v = random_gnword(4, rng.randint(0, 4), rng)
-        lhs = specialize(rep_of_word(u) * rep_of_word(v), assignment)
-        rhs = specialize(rep_of_word(u), assignment) * specialize(
-            rep_of_word(v), assignment
+        lhs = (rep_of_word(u) * rep_of_word(v)).specialize(assignment)
+        rhs = rep_of_word(u).specialize(assignment) * rep_of_word(v).specialize(
+            assignment
         )
         assert lhs == rhs
 
@@ -225,16 +233,16 @@ def test_numeric_fold_matches_symbolic_specialisation():
     assignment = strand_assignment(4, {"t2": -1, "s3": Fraction(1, 2)})
     for _ in range(20):
         w = random_gnword(4, rng.randint(0, 6), rng)
-        assert numeric_rep_of_word(w, assignment) == specialize(
-            rep_of_word(w), assignment
+        assert numeric_rep_of_word(w, assignment) == rep_of_word(w).specialize(
+            assignment
         )
 
 
 def test_corner_entry_of_identity():
-    m = RepMatrix.identity_for(5)
+    m = identity_for(5)
     assert corner_entry(m, (1, 2), (1, 2)).is_one()
     assert corner_entry(m, (1, 2), (1, 3)).is_zero()
-    num = specialize(m, strand_assignment(5))
+    num = m.specialize(strand_assignment(5))
     assert corner_entry(num, (1, 2), (1, 2)) == 1
     with pytest.raises(ValueError):
         corner_entry(m, (1, 1), (1, 2))
