@@ -11,11 +11,9 @@ from .braids import (
     commutator,
 )
 from .gn3 import GnWord, NotPureError, SemidirectElement, phi_generator, phi_pure, phi_word
-from .laurent import LaurentPoly, LaurentRing, ParseError, rational_str
+from .laurent import LaurentPoly, LaurentRing
 from .matrixrep import (
-    NumericMatrix,
     PolyMatrix,
-    RepMatrix,
     burau_reduced,
     burau_unreduced,
     check_braid_relations,
@@ -36,11 +34,8 @@ __all__ = [
     "LaurentPoly",
     "LaurentRing",
     "NotPureError",
-    "NumericMatrix",
-    "ParseError",
     "Permutation",
     "PolyMatrix",
-    "RepMatrix",
     "SemidirectElement",
     "bigelow_beta",
     "burau_reduced",
@@ -53,7 +48,6 @@ __all__ = [
     "phi_generator",
     "phi_pure",
     "phi_word",
-    "rational_str",
     "rep_of_word",
     "strand_assignment",
 ]

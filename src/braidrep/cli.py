@@ -26,7 +26,7 @@ from .collinearity import (
     sigma_motion,
 )
 from .gn3 import NotPureError, phi_pure, phi_word
-from .laurent import LaurentRing, ParseError, rational_str
+from .laurent import LaurentRing
 from .matrixrep import (
     burau_reduced,
     burau_unreduced,
@@ -45,10 +45,13 @@ USAGE_ERROR = 2
 FAILURE = 1
 
 # Input bounds, checked before anything is allocated: the strand count of
-# phi, rep, burau and simulate --sigma (rep matrices are n(n-1) square) and
-# the segment count of a built-in swap motion.
+# phi, rep, burau and simulate --sigma (rep matrices are n(n-1) square), the
+# segment count of a built-in swap motion, and the text of a rational value
+# (Fraction builds 10**E for a decimal exponent E).
 MAX_STRANDS = 32
 MAX_SEGMENTS = 1 << 16
+MAX_RATIONAL_TEXT = 1000
+MAX_DECIMAL_EXPONENT = 10000
 
 
 class CliError(Exception):
@@ -136,6 +139,16 @@ def _parse_braid(args):
 
 
 def _parse_rational(text):
+    if len(text) > MAX_RATIONAL_TEXT:
+        raise CliError(f"a rational value has at most {MAX_RATIONAL_TEXT} characters",
+                       USAGE_ERROR)
+    try:
+        exponent = abs(int(text.lower().partition("e")[2]))
+    except ValueError:
+        exponent = 0    # no integer exponent: Fraction reads or rejects the text
+    if exponent > MAX_DECIMAL_EXPONENT:
+        raise CliError(f"decimal exponent of {text!r} is above {MAX_DECIMAL_EXPONENT} "
+                       "in absolute value", USAGE_ERROR)
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -180,6 +193,16 @@ def _entry_pair(name, n):
     raise CliError(f"not a basis pair for n={n}: {name!r}", USAGE_ERROR)
 
 
+def _printable(render, *args):
+    """render(*args), the one step that turns result values into text."""
+    try:
+        return render(*args)
+    except ValueError as exc:     # an int longer than the interpreter prints
+        raise CliError(
+            "result too large to print: an integer in it has more than "
+            f"{sys.get_int_max_str_digits()} digits", FAILURE) from exc
+
+
 def _check_strands(n, least):
     if not least <= n <= MAX_STRANDS:
         raise CliError(f"strand count must be between {least} and {MAX_STRANDS}",
@@ -207,7 +230,6 @@ def cmd_rep(args):
         raise CliError(str(exc), FAILURE)
     if assignment is not None:
         matrix = numeric_rep_of_word(word, assignment)
-        show = rational_str
     else:
         if len(word) > 60 and not args.symbolic:
             raise CliError(
@@ -216,13 +238,12 @@ def cmd_rep(args):
                 USAGE_ERROR,
             )
         matrix = rep_of_word(word)
-        show = str
     if args.entry:
         row = _entry_pair(args.entry[0], args.n)
         col = _entry_pair(args.entry[1], args.n)
-        return show(corner_entry(matrix, row, col))
+        return _printable(str, corner_entry(matrix, row, col))
     basis = [f"x_{p}_{q}" for p, q in basis_pairs(args.n)]
-    return matrix.to_json(basis, args.n)
+    return _printable(matrix.to_json, basis, args.n)
 
 
 def cmd_burau(args):
@@ -238,8 +259,8 @@ def cmd_burau(args):
         value = _parse_rational(args.set_t)
         if value == 0:
             raise CliError("t is a unit; zero is not allowed", USAGE_ERROR)
-        return matrix.specialize({"t": value}).to_json(basis, args.n)
-    return matrix.to_json(basis, args.n)
+        matrix = matrix.specialize({"t": value})
+    return _printable(matrix.to_json, basis, args.n)
 
 
 CHECK_BOUNDS = {
@@ -335,9 +356,6 @@ def main(argv=None):
     except CliError as exc:
         print(str(exc), file=sys.stderr)
         return exc.code
-    except ParseError as exc:
-        print(str(exc), file=sys.stderr)
-        return USAGE_ERROR
     code = 0
     if isinstance(result, tuple):
         result, code = result

@@ -62,14 +62,13 @@ class TrajectorySet:
 
     MIN_SEPARATION = 1e-9
 
-    def __init__(self, paths, validate=True):
+    def __init__(self, paths):
         self.n = len(paths)
         self.paths = [
             [(float(t), float(x), float(y)) for t, x, y in path] for path in paths
         ]
         self._times = [[bp[0] for bp in path] for path in self.paths]
-        if validate:
-            self._validate()
+        self._validate()
 
     def _validate(self):
         if self.n < 3:

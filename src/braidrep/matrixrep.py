@@ -21,6 +21,10 @@ No letter matrix is built: a product is one fold over sparse lines
 columns ij, kj, jk, ji of M, a(i,j,k) . M the rows ij, ik, kj, ki, jk, ji,
 and a Burau letter two columns.  Scalars are LaurentPoly (symbolic), int
 (every specialised value +-1, its own inverse) or exact Fraction.
+
+Every result, symbolic, specialised or Burau, is one sparse PolyMatrix
+holding the folded lines as rows {r: {c: nonzero value}}; its entries
+print with str, so a Fraction shows as "p/q" and an int as itself.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from itertools import combinations, permutations
 
 from .braids import BraidWord
 from .gn3 import phi_word
-from .laurent import LaurentRing, rational_str
+from .laurent import LaurentRing
 
 PRODUCT_WORD_ORDER = "word"          # word u v  ->  M(u) . M(v)
 PRODUCT_REVERSED_ORDER = "reversed"  # word u v  ->  M(v) . M(u)
@@ -49,67 +53,50 @@ def basis_index(n):
 
 
 class PolyMatrix:
-    """Sparse square matrix with Laurent-polynomial entries."""
+    """Sparse square matrix whose entries are any exact scalar: LaurentPoly
+    (symbolic), int or Fraction.  rows is {r: {c: nonzero value}} and an
+    absent entry reads as 0; n is the strand count when the rows and
+    columns are indexed by the x_pq basis, None otherwise."""
 
-    __slots__ = ("ring", "dim", "rows")
+    __slots__ = ("dim", "rows", "n")
 
-    def __init__(self, ring, dim, rows=None):
-        self.ring = ring
+    def __init__(self, dim, rows, n=None):
         self.dim = dim
-        self.rows = {}
-        if rows:
-            for r, row in rows.items():
-                clean = {c: v for c, v in row.items() if not v.is_zero()}
-                if clean:
-                    self.rows[r] = clean
-
-    @classmethod
-    def identity(cls, ring, dim):
-        one = ring.one()
-        return cls(ring, dim, {r: {r: one} for r in range(dim)})
+        self.rows = rows
+        self.n = n
 
     def entry(self, r, c):
         if not (0 <= r < self.dim and 0 <= c < self.dim):
             raise ValueError(f"entry ({r}, {c}) outside a {self.dim}x{self.dim} matrix")
-        return self.rows.get(r, {}).get(c, self.ring.zero())
+        return self.rows.get(r, {}).get(c, 0)
 
     def __mul__(self, other):
         if not isinstance(other, PolyMatrix):
             return NotImplemented
-        if other.ring != self.ring or other.dim != self.dim:
-            raise ValueError("matrix shapes or rings differ")
+        if other.dim != self.dim:
+            raise ValueError("matrix sizes differ")
         rows = {}
         for r, arow in self.rows.items():
             acc = {}
             for k, a in arow.items():
-                brow = other.rows.get(k)
-                if not brow:
-                    continue
-                for c, b in brow.items():
-                    prod = a * b
-                    if c in acc:
-                        acc[c] = acc[c] + prod
-                    else:
-                        acc[c] = prod
-            acc = {c: v for c, v in acc.items() if not v.is_zero()}
+                for c, b in other.rows.get(k, {}).items():
+                    acc[c] = acc[c] + a * b if c in acc else a * b
+            acc = {c: v for c, v in acc.items() if v}
             if acc:
                 rows[r] = acc
-        out = PolyMatrix.__new__(type(self))
-        out.ring = self.ring
-        out.dim = self.dim
-        out.rows = rows
-        return out
+        return PolyMatrix(self.dim, rows, self.n)
 
     def __eq__(self, other):
         return (
             isinstance(other, PolyMatrix)
-            and self.ring == other.ring
             and self.dim == other.dim
             and self.rows == other.rows
         )
 
     def is_identity(self):
-        return self == PolyMatrix.identity(self.ring, self.dim)
+        return len(self.rows) == self.dim and all(
+            row == {r: 1} for r, row in self.rows.items()
+        )
 
     def nonzero_entries(self):
         for r in sorted(self.rows):
@@ -118,10 +105,15 @@ class PolyMatrix:
                 yield r, c, row[c]
 
     def specialize(self, assignment):
-        rows = [[Fraction(0)] * self.dim for _ in range(self.dim)]
-        for r, c, v in self.nonzero_entries():
-            rows[r][c] = v.eval(assignment)
-        return NumericMatrix(self.dim, rows, getattr(self, "n", None))
+        """Every LaurentPoly entry evaluated at the assignment, in exact
+        Fractions; entries that evaluate to 0 are dropped."""
+        rows = {}
+        for r, row in self.rows.items():
+            values = {c: v.eval(assignment) for c, v in row.items()}
+            values = {c: v for c, v in values.items() if v}
+            if values:
+                rows[r] = values
+        return PolyMatrix(self.dim, rows, self.n)
 
     def to_json(self, basis, n=None):
         entries = [
@@ -132,87 +124,6 @@ class PolyMatrix:
         if n is not None:
             doc = {"n": n, **doc}
         return doc
-
-
-class NumericMatrix:
-    """Dense square matrix of exact rationals (int or Fraction entries);
-    n is the strand count when the rows are indexed by the x_pq basis."""
-
-    __slots__ = ("dim", "rows", "n")
-
-    def __init__(self, dim, rows, n=None):
-        self.dim = dim
-        self.rows = rows
-        self.n = n
-        if len(self.rows) != dim or any(len(row) != dim for row in self.rows):
-            raise ValueError("matrix shape mismatch")
-
-    def entry(self, r, c):
-        return self.rows[r][c]
-
-    def __mul__(self, other):
-        if not isinstance(other, NumericMatrix):
-            return NotImplemented
-        if other.dim != self.dim:
-            raise ValueError("matrix sizes differ")
-        dim = self.dim
-        sparse = [
-            [(c, v) for c, v in enumerate(row) if v] for row in other.rows
-        ]
-        out = [[Fraction(0)] * dim for _ in range(dim)]
-        for r in range(dim):
-            arow = self.rows[r]
-            orow = out[r]
-            for k in range(dim):
-                a = arow[k]
-                if not a:
-                    continue
-                for c, b in sparse[k]:
-                    orow[c] += a * b
-        return NumericMatrix(dim, out, self.n)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, NumericMatrix)
-            and self.dim == other.dim
-            and self.rows == other.rows
-        )
-
-    def is_identity(self):
-        return all(
-            v == (1 if r == c else 0)
-            for r, row in enumerate(self.rows)
-            for c, v in enumerate(row)
-        )
-
-    def to_json(self, basis, n=None):
-        entries = [
-            {"row": r, "col": c, "value": rational_str(v)}
-            for r in range(self.dim)
-            for c, v in enumerate(self.rows[r])
-            if v
-        ]
-        doc = {"dim": self.dim, "basis": list(basis), "entries": entries}
-        if n is not None:
-            doc = {"n": n, **doc}
-        return doc
-
-
-class RepMatrix(PolyMatrix):
-    """PolyMatrix indexed by the x_pq basis of an n-strand representation."""
-
-    __slots__ = ("n",)
-
-    def __init__(self, n, rows=None):
-        super().__init__(LaurentRing.for_strands(n), n * (n - 1), rows)
-        self.n = n
-
-    def __mul__(self, other):
-        out = PolyMatrix.__mul__(self, other)
-        if out is NotImplemented:
-            return out
-        out.n = self.n
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +228,7 @@ def rep_of_word(word, order=None):
     order = order or DEFAULT_PRODUCT_ORDER
     ring = LaurentRing.for_strands(word.n)
     lines = _word_lines(word, _laurent_scalar(ring), ring.one(), order)
-    return RepMatrix(word.n, _rows(lines, order))
+    return PolyMatrix(len(lines), _rows(lines, order), word.n)
 
 
 def numeric_rep_of_word(word, assignment, order=None):
@@ -339,12 +250,7 @@ def numeric_rep_of_word(word, assignment, order=None):
     else:
         scalars = {name: (v, 1 / v) for name, v in zip(names, values)}
     lines = _word_lines(word, scalars.__getitem__, 1, order)
-    dim = len(lines)
-    dense = [[0] * dim for _ in range(dim)]
-    for r, row in _rows(lines, order).items():
-        for c, v in row.items():
-            dense[r][c] = v
-    return NumericMatrix(dim, dense, word.n)
+    return PolyMatrix(len(lines), _rows(lines, order), word.n)
 
 
 def strand_assignment(n, values=None, rest=1):
@@ -362,10 +268,9 @@ def strand_assignment(n, values=None, rest=1):
 
 def corner_entry(matrix, row_pair, col_pair):
     """Coefficient of basis vector row_pair in the image of col_pair."""
-    n = getattr(matrix, "n", None)
-    if n is None:
-        raise TypeError(f"{type(matrix).__name__} is not indexed by basis pairs")
-    index = basis_index(n)
+    if matrix.n is None:
+        raise TypeError("the matrix is not indexed by basis pairs")
+    index = basis_index(matrix.n)
     if row_pair not in index or col_pair not in index:
         raise ValueError(f"invalid basis pair {row_pair} or {col_pair}")
     return matrix.entry(index[row_pair], index[col_pair])
@@ -462,7 +367,7 @@ def burau_unreduced(w):
         return _line_ops(rules, one)
 
     lines = _fold(w.n, one, w.letters, ops)
-    return PolyMatrix(ring, w.n, _rows(lines, PRODUCT_WORD_ORDER))
+    return PolyMatrix(w.n, _rows(lines, PRODUCT_WORD_ORDER))
 
 
 def burau_reduced(w):
@@ -472,20 +377,15 @@ def burau_reduced(w):
     vectors of sum zero form an invariant lattice with basis
     f_i = e_i - e_(i+1); the reduced matrix expresses the action on that
     basis and is again multiplicative in the word."""
-    ring = LaurentRing.burau()
     u = burau_unreduced(w)
     n = w.n
     rows = {}
     for i in range(n - 1):
-        diff = [
-            u.entry(i, c) - u.entry(i + 1, c) for c in range(n)
-        ]
-        row = {}
-        acc = ring.zero()
+        row, acc = {}, 0
         for j in range(n - 1):
-            acc = acc + diff[j]
-            if not acc.is_zero():
+            acc = acc + u.entry(i, j) - u.entry(i + 1, j)
+            if acc:
                 row[j] = acc
         if row:
             rows[i] = row
-    return PolyMatrix(ring, n - 1, rows)
+    return PolyMatrix(n - 1, rows)

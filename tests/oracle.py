@@ -10,7 +10,7 @@ otherwise.
 from braidrep.laurent import LaurentRing
 from braidrep.matrixrep import (
     PRODUCT_WORD_ORDER,
-    RepMatrix,
+    PolyMatrix,
     basis_index,
 )
 
@@ -30,7 +30,7 @@ def rho_generator(n, i, j, k, exponent=1):
     ring = LaurentRing.for_strands(n)
     index = basis_index(n)
     one = ring.one()
-    m = RepMatrix(n, {r: {r: one} for r in range(n * (n - 1))})
+    m = PolyMatrix(n * (n - 1), {r: {r: one} for r in range(n * (n - 1))}, n)
     t_i = ring.var(f"t{i}")
     t_k_inv = ring.var(f"t{k}", -1)
     s_j = ring.var(f"s{j}")
@@ -43,7 +43,7 @@ def rho_generator(n, i, j, k, exponent=1):
             if not m.rows[r]:
                 del m.rows[r]
         for row_pair, value in images.items():
-            if value.is_zero():
+            if not value:
                 continue
             m.rows.setdefault(index[row_pair], {})[c] = value
 
@@ -108,7 +108,3 @@ def burau_product(w):
     return product(w.n, LaurentRing.burau().one(),
                    [burau_generator(w.n, i, e) for i, e in w.letters])
 
-
-def dense(rows, dim):
-    """Row dicts as a dense list of rows with 0 for missing entries."""
-    return [[rows.get(r, {}).get(c, 0) for c in range(dim)] for r in range(dim)]

@@ -1,9 +1,17 @@
 import json
+import sys
 
 import pytest
 
+from braidrep import cli
 from braidrep.braids import MAX_LETTERS
-from braidrep.cli import MAX_SEGMENTS, MAX_STRANDS, main
+from braidrep.cli import (
+    MAX_DECIMAL_EXPONENT,
+    MAX_RATIONAL_TEXT,
+    MAX_SEGMENTS,
+    MAX_STRANDS,
+    main,
+)
 
 
 def run(capsys, *argv):
@@ -288,3 +296,46 @@ def test_simulate_rejects_bad_tolerance(capsys, tolerance):
                          f"--tolerance={tolerance}")
     assert code == 2 and out == ""
     assert "--tolerance" in err
+
+
+@pytest.mark.parametrize(
+    "value",
+    ["1e999999999", f"-2.5E-{MAX_DECIMAL_EXPONENT + 1}", "7" * (MAX_RATIONAL_TEXT + 1)],
+    ids=["exponent", "negative-exponent", "length"],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [("rep", "--set", "t1={}", "--set-rest", "1"), ("rep", "--set-rest={}"),
+     ("burau", "--set-t={}")],
+    ids=["set", "set-rest", "set-t"],
+)
+def test_rational_input_is_bounded_before_it_is_built(capsys, monkeypatch, argv, value):
+    def refuse(text):
+        raise AssertionError(f"Fraction({text!r}) was built")
+
+    monkeypatch.setattr(cli, "Fraction", refuse)
+    command, *flags = argv
+    code, out, err = run(capsys, command, "--n", "3", "s1^2",
+                         *(flag.format(value) for flag in flags))
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert str(MAX_DECIMAL_EXPONENT) in err or str(MAX_RATIONAL_TEXT) in err
+
+
+@pytest.mark.skipif(
+    not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000,
+    reason="needs a limit below 5000 digits on int to text conversion",
+)
+@pytest.mark.parametrize(
+    "argv",
+    [("rep", "--n", "3", "s1^2", "--set", "t1=1e5000", "--set-rest", "1",
+      "--entry", "x_1_2", "x_1_2"),
+     ("rep", "--n", "3", "s1^2", "--set", "t1=1e5000", "--set-rest", "1"),
+     ("burau", "--n", "3", "s1", "--set-t", "1e5000")],
+    ids=["rep-entry", "rep", "burau"],
+)
+def test_result_too_large_to_print_is_one_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert f"more than {sys.get_int_max_str_digits()} digits" in err
+    assert len(err.splitlines()) == 1

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from braidrep.laurent import LaurentRing, ParseError, rational_str
+from braidrep.laurent import LaurentRing
 
 R5 = LaurentRing.for_strands(5)
 
@@ -11,14 +11,14 @@ R5 = LaurentRing.for_strands(5)
 def random_poly(ring, rng, max_terms=4, max_exp=3, max_coeff=9):
     p = ring.zero()
     for _ in range(rng.randint(0, max_terms)):
-        vec = tuple(rng.randint(-max_exp, max_exp) for _ in range(ring.nvars))
-        p = p + ring.monomial(rng.randint(-max_coeff, max_coeff), vec)
+        exponents = {name: rng.randint(-max_exp, max_exp) for name in ring.names}
+        p = p + ring.monomial(rng.randint(-max_coeff, max_coeff), exponents)
     return p
 
 
 def test_additive_inverse():
     t1 = R5.var("t1")
-    assert (t1 + (-t1)).is_zero()
+    assert not t1 + (-t1)
 
 
 def test_addition_cancels_across_terms():
@@ -35,7 +35,7 @@ def test_like_terms_merge():
 
 def test_unit_inverse_multiplication():
     t1 = R5.var("t1")
-    assert (t1 * R5.var("t1", -1)).is_one()
+    assert t1 * R5.var("t1", -1) == 1
 
 
 def test_product_expansion_by_hand():
@@ -51,7 +51,7 @@ def test_zero_absorbs():
     rng = random.Random(7)
     for _ in range(20):
         p = random_poly(R5, rng)
-        assert (R5.zero() * p).is_zero()
+        assert not R5.zero() * p
 
 
 def test_eval_single_variable():
@@ -86,40 +86,6 @@ def test_eval_rejects_missing_assignment():
         R5.var("t1").eval(assign)
 
 
-def test_parse_two_term_polynomial():
-    p = R5.parse("t1*s2^-1 + 2")
-    assert len(p.terms) == 2
-    assert p == R5.var("t1") * R5.var("s2", -1) + 2
-
-
-def test_parse_zero():
-    assert R5.parse("0").is_zero()
-
-
-def test_parse_errors_carry_position():
-    with pytest.raises(ParseError):
-        R5.parse("t1 +")
-    with pytest.raises(ParseError, match="out of range"):
-        R5.parse("t9")
-    with pytest.raises(ParseError, match="unknown variable"):
-        R5.parse("u1")
-    with pytest.raises(ParseError):
-        R5.parse("2 t1")
-    err = None
-    try:
-        R5.parse("t1*s2^x")
-    except ParseError as exc:
-        err = exc
-    assert err is not None and err.position >= 0
-
-
-def test_parse_format_round_trip_randomised():
-    rng = random.Random(2024)
-    for _ in range(200):
-        p = random_poly(R5, rng)
-        assert R5.parse(str(p)) == p
-
-
 def test_canonical_form_is_deterministic():
     # same polynomial assembled in two different orders
     a = R5.var("t1") + R5.constant(3) + R5.var("s5", -2)
@@ -131,7 +97,7 @@ def test_canonical_form_is_deterministic():
 def test_negative_coefficient_folding():
     p = R5.constant(-2) - R5.var("t1")
     assert str(p) == "-t1 + -2"
-    assert R5.parse(str(p)) == p
+    assert p.terms == {(1,) + (0,) * 9: -1, (0,) * 10: -2}
 
 
 def test_ring_axioms_randomised():
@@ -170,32 +136,26 @@ def test_ring_mismatch_is_an_error():
         R5.var("t1") * other.var("t1")
 
 
-def test_monomial_inverse():
-    m = R5.var("t2") * R5.var("s1", -3)
-    assert (m * m.monomial_inverse()).is_one()
-    neg = -m
-    assert (neg * neg.monomial_inverse()).is_one()
-    with pytest.raises(ValueError):
-        (R5.one() + R5.var("t1")).monomial_inverse()
-    with pytest.raises(ValueError):
-        (2 * m).monomial_inverse()
-
-
 def test_burau_ring_is_single_variable():
     ring = LaurentRing.burau()
     t = ring.var("t")
-    assert str(t.monomial_inverse()) == "t^-1"
-    assert ring.parse("t^-1 + 1") == t.monomial_inverse() + 1
+    u = ring.var("t", -1)
+    assert ring.names == ("t",)
+    assert str(u) == "t^-1"
+    assert str(u + 1) == "1 + t^-1"
+    assert t * u == 1
 
 
-def test_power_operator():
-    t1 = R5.var("t1")
-    assert t1 ** 0 == R5.one()
-    assert t1 ** 3 == t1 * t1 * t1
-    with pytest.raises(ValueError):
-        t1 ** -1
-
-
-def test_rational_str():
-    assert rational_str(Fraction(-399)) == "-399"
-    assert rational_str(Fraction(1, 2)) == "1/2"
+def test_arithmetic_never_stores_a_zero_coefficient():
+    # LaurentPoly stores terms as given, so every operation must drop the
+    # zeros itself, also in results that cancel completely; in one variable
+    # with small exponents, terms of products collide and cancel often
+    rng = random.Random(2025)
+    for ring in (R5, LaurentRing.burau()):
+        for _ in range(200):
+            a = random_poly(ring, rng, max_exp=1, max_coeff=2)
+            b = random_poly(ring, rng, max_exp=1, max_coeff=2)
+            for p in (a + b, a - b, a * b, -a, a - a, a * (b - b)):
+                assert 0 not in p.terms.values()
+                if not p.terms:
+                    assert p == ring.zero()
