@@ -1,7 +1,7 @@
 """Braid words in the Artin generators, and Bigelow's Burau-kernel braid.
 
-Words are plain letter sequences; no normal form beyond free reduction is
-computed here.  Everything downstream evaluates words through
+Words are plain letter sequences; no normal form, not even free reduction,
+is computed here.  Everything downstream evaluates words through
 representations, so word-problem machinery is deliberately absent.
 """
 
@@ -81,15 +81,6 @@ class BraidWord:
 
     def inverse(self):
         return BraidWord(self.n, [(i, -e) for i, e in reversed(self.letters)])
-
-    def free_reduce(self):
-        stack = []
-        for letter in self.letters:
-            if stack and stack[-1][0] == letter[0] and stack[-1][1] == -letter[1]:
-                stack.pop()
-            else:
-                stack.append(letter)
-        return BraidWord(self.n, stack)
 
     def permutation(self):
         """Image under the strand permutation map sigma_i -> (i i+1)."""

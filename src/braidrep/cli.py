@@ -1,20 +1,23 @@
 """Command-line interface.
 
 Subcommands: phi, rep, burau, check, simulate.  Results are printed as a
-single JSON document on stdout; diagnostics go to stderr.  Exit codes:
-0 success, 1 computation-level failure (failing check, non-pure braid,
-degenerate motion), 2 usage or parse error.
+single compact JSON document on stdout; diagnostics go to stderr.  Exit
+codes: 0 success, 1 computation-level failure (failing check, non-pure
+braid, degenerate motion), 2 usage or parse error.
+
+The command line uses the library's calibrated conventions only (the
+commutator and product order in braids and matrixrep), and simulate uses
+the detector's fixed time resolution and swap-motion segment count
+(collinearity.TOLERANCE and collinearity.SEGMENTS).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from fractions import Fraction
 
-from . import braids
 from .braids import BraidParseError, BraidWord, bigelow_beta
 from .collinearity import (
     DegenerateEventError,
@@ -45,11 +48,10 @@ USAGE_ERROR = 2
 FAILURE = 1
 
 # Input bounds, checked before anything is allocated: the strand count of
-# phi, rep, burau and simulate --sigma (rep matrices are n(n-1) square), the
-# segment count of a built-in swap motion, and the text of a rational value
-# (Fraction builds 10**E for a decimal exponent E).
+# phi, rep, burau and simulate --sigma (rep matrices are n(n-1) square) and
+# the text of a rational value (Fraction builds 10**E for a decimal
+# exponent E).
 MAX_STRANDS = 32
-MAX_SEGMENTS = 1 << 16
 MAX_RATIONAL_TEXT = 1000
 MAX_DECIMAL_EXPONENT = 10000
 
@@ -65,12 +67,6 @@ def build_parser():
         prog="braidrep",
         description="Exact braid representations from collinearity events",
     )
-    parser.add_argument(
-        "--output",
-        choices=("json", "pretty"),
-        default="json",
-        help="compact JSON (default) or indented output",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("phi", help="image of a braid in the semidirect product")
@@ -82,12 +78,6 @@ def build_parser():
     p.add_argument("braid", nargs="?", default=None)
     p.add_argument("--bigelow", action="store_true",
                    help="use the built-in Burau-kernel braid (n = 5 or 6)")
-    p.add_argument(
-        "--commutator-convention",
-        choices=(braids.COMMUTATOR_ABA_B, braids.COMMUTATOR_A_B_AB),
-        default=braids.DEFAULT_COMMUTATOR_CONVENTION,
-        help="convention for the built-in commutator braid",
-    )
     p.add_argument("--set", action="append", default=[], metavar="VAR=VALUE",
                    help="specialise a variable to an exact rational")
     p.add_argument("--set-rest", default=None, metavar="VALUE",
@@ -113,8 +103,6 @@ def build_parser():
     p.add_argument("file", nargs="?", default=None, help="trajectory JSON file")
     p.add_argument("--sigma", nargs=2, type=int, default=None, metavar=("N", "I"),
                    help="use the built-in swap motion of generator I on N points")
-    p.add_argument("--segments", type=int, default=256)
-    p.add_argument("--tolerance", type=float, default=1e-12)
 
     return parser
 
@@ -124,10 +112,8 @@ def _parse_braid(args):
         if args.braid is not None:
             raise CliError("give either a braid word or --bigelow, not both",
                            USAGE_ERROR)
-        convention = getattr(args, "commutator_convention",
-                             braids.DEFAULT_COMMUTATOR_CONVENTION)
         try:
-            return bigelow_beta(args.n, convention)
+            return bigelow_beta(args.n)
         except ValueError as exc:
             raise CliError(str(exc), USAGE_ERROR)
     if args.braid is None:
@@ -264,8 +250,8 @@ def cmd_burau(args):
 
 
 CHECK_BOUNDS = {
-    "gn-relations": (4, 6),
-    "braid-relations": (3, 5),
+    "gn-relations": (4, 8),
+    "braid-relations": (3, 8),
     "oracle": (3, 8),
 }
 
@@ -306,15 +292,11 @@ def cmd_check(args):
 def cmd_simulate(args):
     if (args.file is None) == (args.sigma is None):
         raise CliError("give a trajectory file or --sigma N I", USAGE_ERROR)
-    if not (math.isfinite(args.tolerance) and args.tolerance > 0):
-        raise CliError("--tolerance must be a positive number", USAGE_ERROR)
     if args.sigma is not None:
         n, i = args.sigma
         _check_strands(n, 3)
-        if args.segments > MAX_SEGMENTS:
-            raise CliError(f"--segments is at most {MAX_SEGMENTS}", USAGE_ERROR)
         try:
-            ts = sigma_motion(n, i, args.segments)
+            ts = sigma_motion(n, i)
         except ValueError as exc:
             raise CliError(str(exc), USAGE_ERROR)
     else:
@@ -325,7 +307,7 @@ def cmd_simulate(args):
         except TrajectoryError as exc:
             raise CliError(f"malformed trajectory file: {exc}", USAGE_ERROR)
     try:
-        events = detect_events(ts, args.tolerance)
+        events = detect_events(ts)
     except DegenerateEventError as exc:
         raise CliError(str(exc), FAILURE)
     word = events_to_word(events, ts.n)
@@ -338,10 +320,27 @@ def cmd_simulate(args):
     }
 
 
+def _attach_values(argv):
+    """Write "--set-rest VALUE" and "--set-t VALUE" as "--set-rest=VALUE":
+    argparse reads only -N and -N.N as negative numbers, so a separate word
+    such as -2/3 or -1e3 would be taken for an option, not for the value."""
+    out = []
+    words = iter(argv)
+    for word in words:
+        value = next(words, None) if word in ("--set-rest", "--set-t") else None
+        if value is None:
+            out.append(word)
+        elif value.startswith("--"):
+            out += [word, value]
+        else:
+            out.append(f"{word}={value}")
+    return out
+
+
 def main(argv=None):
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
     handlers = {
@@ -359,10 +358,7 @@ def main(argv=None):
     code = 0
     if isinstance(result, tuple):
         result, code = result
-    if args.output == "pretty":
-        print(json.dumps(result, indent=2))
-    else:
-        print(json.dumps(result))
+    print(json.dumps(result))
     return code
 
 

@@ -24,6 +24,12 @@ from itertools import combinations
 
 from .gn3 import GnWord, phi_generator
 
+# Time resolution of detect_events: sign changes are bisected down to it,
+# and two events closer than it are degenerate.
+TOLERANCE = 1e-12
+# Straight segments in each moving path of a built-in swap motion.
+SEGMENTS = 256
+
 
 class TrajectoryError(ValueError):
     """Malformed trajectory data."""
@@ -131,14 +137,6 @@ class TrajectorySet:
         grid.append(times[-1])
         return grid
 
-    def to_json(self):
-        return {"n": self.n, "paths": [[list(bp) for bp in p] for p in self.paths]}
-
-
-def save_trajectories(ts, path):
-    with open(path, "w") as fh:
-        json.dump(ts.to_json(), fh)
-
 
 def load_trajectories(path):
     with open(path) as fh:
@@ -169,16 +167,15 @@ def trajectories_from_json(data):
     return TrajectorySet(paths)
 
 
-def sigma_motion(n, i, segments=256):
+def sigma_motion(n, i):
     """Swap motion of the i-th Artin generator: n points in clockwise index
     order on the unit circle; points i and i+1 make a counterclockwise
-    half-turn about the midpoint of their chord, everything else rests."""
+    half-turn about the midpoint of their chord in SEGMENTS straight
+    segments, everything else rests."""
     if n < 3:
         raise ValueError("need at least 3 points")
     if not 1 <= i <= n - 1:
         raise ValueError(f"generator index {i} out of range 1..{n - 1}")
-    if segments < 2:
-        raise ValueError("need at least 2 segments")
 
     def vertex(p):
         angle = -2.0 * math.pi * (p - 1) / n
@@ -192,8 +189,8 @@ def sigma_motion(n, i, segments=256):
         if p in (i, i + 1):
             rx, ry = x - mx, y - my
             path = []
-            for step in range(segments + 1):
-                t = step / segments
+            for step in range(SEGMENTS + 1):
+                t = step / SEGMENTS
                 a = math.pi * t
                 ca, sa = math.cos(a), math.sin(a)
                 path.append((t, mx + ca * rx - sa * ry, my + sa * rx + ca * ry))
@@ -213,29 +210,27 @@ _PARITY = {
 }
 
 
-def detect_events(ts, tolerance=1e-12):
+def detect_events(ts):
     """Locate all triple collinearity moments, refined by bisection.
 
     Sign changes of the orientation determinant over the sample grid are
-    bisected down to the time tolerance.  A determinant that touches zero
-    at a grid point without changing sign, or two events closer than the
-    tolerance, raise DegenerateEventError."""
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
+    bisected down to TOLERANCE.  A determinant that touches zero at a grid
+    point without changing sign, or two events closer than TOLERANCE,
+    raise DegenerateEventError."""
     grid = ts.sample_times()
     events = []
     for triple in combinations(range(1, ts.n + 1), 3):
-        events.extend(_triple_events(ts, triple, grid, tolerance))
+        events.extend(_triple_events(ts, triple, grid))
     events.sort(key=lambda e: e.time)
     for e1, e2 in zip(events, events[1:]):
-        if e2.time - e1.time <= tolerance:
+        if e2.time - e1.time <= TOLERANCE:
             raise DegenerateEventError(
                 f"events {e1.triple} and {e2.triple} coincide at t={e1.time:.12f}"
             )
     return events
 
 
-def _triple_events(ts, triple, grid, tolerance):
+def _triple_events(ts, triple, grid):
     a, b, c = triple
 
     def det(t):
@@ -258,7 +253,7 @@ def _triple_events(ts, triple, grid, tolerance):
         if v0 * v1 < 0.0:
             lo, hi = grid[pos], grid[pos + 1]
             flo = v0
-            while hi - lo > tolerance:
+            while hi - lo > TOLERANCE:
                 mid = (lo + hi) / 2.0
                 fmid = det(mid)
                 if fmid == 0.0 or (fmid < 0) == (flo < 0):
@@ -306,32 +301,23 @@ def events_to_word(events, n):
     return GnWord(n, [(e.triple, 1) for e in events])
 
 
-def calibrate_against_phi(n, segments=256, tolerance=1e-12):
+def calibrate_against_phi(n):
     """Compare, for every Artin generator, the geometric event word of the
     swap motion with the algebraic generator image.
 
     Returns per-generator entries whose "match" field is "exact" when the
-    letter sequences coincide, "letters" when only the sequence of
-    unordered triples does, and "mismatch" otherwise."""
+    letter sequences coincide and "mismatch" otherwise."""
     if n < 3:
         raise ValueError("need at least 3 points")
     results = []
     for i in range(1, n):
-        events = detect_events(sigma_motion(n, i, segments), tolerance)
+        events = detect_events(sigma_motion(n, i))
         geometric = events_to_word(events, n)
         expected = phi_generator(n, i).word
-        if geometric == expected:
-            match = "exact"
-        elif [frozenset(t) for t, _ in geometric.letters] == [
-            frozenset(t) for t, _ in expected.letters
-        ]:
-            match = "letters"
-        else:
-            match = "mismatch"
         results.append(
             {
                 "i": i,
-                "match": match,
+                "match": "exact" if geometric == expected else "mismatch",
                 "events": len(events),
                 "geometric": str(geometric),
                 "expected": str(expected),

@@ -11,17 +11,11 @@ questions are delegated to the matrix representation (matrixrep.py).
 
 from __future__ import annotations
 
-import re
-
 from .permutations import Permutation
 
 
 class NotPureError(ValueError):
     """The braid has a nontrivial strand permutation."""
-
-
-class WordParseError(ValueError):
-    pass
 
 
 def _check_triple(n, triple):
@@ -51,23 +45,6 @@ class GnWord:
             clean.append((triple, e))
         self.n = n
         self.letters = tuple(clean)
-
-    @classmethod
-    def parse(cls, text, n):
-        """Whitespace-separated letters "a(i,j,k)" or "a(i,j,k)^-1"."""
-        letters = []
-        for item in text.split():
-            m = re.fullmatch(r"a\((\d+),(\d+),(\d+)\)(?:\^(-1|1))?", item)
-            if not m:
-                raise WordParseError(f"cannot parse letter {item!r}")
-            triple = (int(m.group(1)), int(m.group(2)), int(m.group(3)))
-            e = int(m.group(4)) if m.group(4) else 1
-            letters.append((triple, e))
-        return cls(n, letters)
-
-    @classmethod
-    def from_json(cls, data, n):
-        return cls(n, [((i, j, k), e) for i, j, k, e in data])
 
     def to_json(self):
         return [[i, j, k, e] for (i, j, k), e in self.letters]
