@@ -3,7 +3,8 @@
 Subcommands: phi, rep, burau, check, simulate.  Results are printed as a
 single compact JSON document on stdout; diagnostics go to stderr.  Exit
 codes: 0 success, 1 computation-level failure (failing check, non-pure
-braid, degenerate motion), 2 usage or parse error.
+braid, degenerate motion), 2 usage or parse error.  Options must be
+spelled in full; argparse's abbreviations are turned off.
 
 The command line uses the library's calibrated conventions only (the
 commutator and product order in braids and matrixrep), and simulate uses
@@ -29,15 +30,12 @@ from .collinearity import (
     sigma_motion,
 )
 from .gn3 import NotPureError, phi_pure, phi_word
-from .laurent import LaurentRing
 from .matrixrep import (
     burau_reduced,
     burau_unreduced,
-    basis_index,
     basis_pairs,
     check_braid_relations,
     check_relations,
-    corner_entry,
     numeric_rep_of_word,
     rep_of_word,
     report_passed,
@@ -48,10 +46,11 @@ USAGE_ERROR = 2
 FAILURE = 1
 
 # Input bounds, checked before anything is allocated: the strand count of
-# phi, rep, burau and simulate --sigma (rep matrices are n(n-1) square) and
-# the text of a rational value (Fraction builds 10**E for a decimal
-# exponent E).
+# phi, rep, burau and simulate --sigma (rep matrices are n(n-1) square),
+# the phi letters of an unspecialised rep and the text of a rational value
+# (Fraction builds 10**E for a decimal exponent E).
 MAX_STRANDS = 32
+MAX_SYMBOLIC_LETTERS = 60
 MAX_RATIONAL_TEXT = 1000
 MAX_DECIMAL_EXPONENT = 10000
 
@@ -66,14 +65,16 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="braidrep",
         description="Exact braid representations from collinearity events",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("phi", help="image of a braid in the semidirect product")
+    p = sub.add_parser("phi", help="image of a braid in the semidirect product",
+                       allow_abbrev=False)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("braid", help='braid word, e.g. "s1 s2^-1" or "1 -2"')
 
-    p = sub.add_parser("rep", help="matrix of a pure braid")
+    p = sub.add_parser("rep", allow_abbrev=False, help="matrix of a pure braid")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("braid", nargs="?", default=None)
     p.add_argument("--bigelow", action="store_true",
@@ -84,10 +85,8 @@ def build_parser():
                    help="value for every variable not set explicitly")
     p.add_argument("--entry", nargs=2, default=None, metavar=("ROW", "COL"),
                    help="print a single entry, e.g. --entry x_1_2 x_1_2")
-    p.add_argument("--symbolic", action="store_true",
-                   help="allow the full symbolic matrix for long braids")
 
-    p = sub.add_parser("burau", help="Burau matrix of a braid")
+    p = sub.add_parser("burau", allow_abbrev=False, help="Burau matrix of a braid")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("braid", nargs="?", default=None)
     p.add_argument("--bigelow", action="store_true")
@@ -95,11 +94,12 @@ def build_parser():
     p.add_argument("--set-t", default=None, metavar="VALUE",
                    help="specialise t to an exact rational")
 
-    p = sub.add_parser("check", help="run a verification suite")
+    p = sub.add_parser("check", allow_abbrev=False, help="run a verification suite")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("which", choices=("gn-relations", "braid-relations", "oracle"))
 
-    p = sub.add_parser("simulate", help="collinearity events of a motion")
+    p = sub.add_parser("simulate", help="collinearity events of a motion",
+                       allow_abbrev=False)
     p.add_argument("file", nargs="?", default=None, help="trajectory JSON file")
     p.add_argument("--sigma", nargs=2, type=int, default=None, metavar=("N", "I"),
                    help="use the built-in swap motion of generator I on N points")
@@ -151,32 +151,10 @@ def _assignment(args, n):
     if not explicit and args.set_rest is None:
         return None
     rest = _parse_rational(args.set_rest) if args.set_rest is not None else None
-    names = LaurentRing.for_strands(n).names
-    for name in explicit:
-        if name not in names:
-            raise CliError(f"unknown variable {name!r}", USAGE_ERROR)
-    missing = [name for name in names if name not in explicit]
-    if rest is None and missing:
-        raise CliError(
-            f"variables left unassigned (add --set-rest): {', '.join(missing)}",
-            USAGE_ERROR,
-        )
-    if any(v == 0 for v in explicit.values()) or rest == 0:
-        raise CliError("variables are units; zero assignments are not allowed",
-                       USAGE_ERROR)
-    return strand_assignment(n, explicit, rest if rest is not None else 1)
-
-
-def _entry_pair(name, n):
-    parts = name.split("_")
-    if len(parts) == 3 and parts[0] == "x":
-        try:
-            pair = (int(parts[1]), int(parts[2]))
-        except ValueError:
-            pair = None
-        if pair and pair in basis_index(n):
-            return pair
-    raise CliError(f"not a basis pair for n={n}: {name!r}", USAGE_ERROR)
+    try:
+        return strand_assignment(n, explicit, rest)
+    except ValueError as exc:
+        raise CliError(str(exc), USAGE_ERROR)
 
 
 def _printable(render, *args):
@@ -216,19 +194,19 @@ def cmd_rep(args):
         raise CliError(str(exc), FAILURE)
     if assignment is not None:
         matrix = numeric_rep_of_word(word, assignment)
+    elif len(word) > MAX_SYMBOLIC_LETTERS:
+        raise CliError(f"symbolic product over {MAX_SYMBOLIC_LETTERS} phi letters; "
+                       "specialise with --set/--set-rest", USAGE_ERROR)
     else:
-        if len(word) > 60 and not args.symbolic:
-            raise CliError(
-                "long symbolic product; pass --symbolic to allow it, or "
-                "specialise with --set/--set-rest",
-                USAGE_ERROR,
-            )
         matrix = rep_of_word(word)
-    if args.entry:
-        row = _entry_pair(args.entry[0], args.n)
-        col = _entry_pair(args.entry[1], args.n)
-        return _printable(str, corner_entry(matrix, row, col))
     basis = [f"x_{p}_{q}" for p, q in basis_pairs(args.n)]
+    if args.entry:
+        for name in args.entry:
+            if name not in basis:
+                raise CliError(f"not a basis pair for n={args.n}: {name!r}",
+                               USAGE_ERROR)
+        row, col = map(basis.index, args.entry)
+        return _printable(str, matrix.entry(row, col))
     return _printable(matrix.to_json, basis, args.n)
 
 
@@ -249,34 +227,17 @@ def cmd_burau(args):
     return _printable(matrix.to_json, basis, args.n)
 
 
-CHECK_BOUNDS = {
-    "gn-relations": (4, 8),
-    "braid-relations": (3, 8),
-    "oracle": (3, 8),
-}
-
-
 def cmd_check(args):
-    lo, hi = CHECK_BOUNDS[args.which]
+    lo, hi, suite = {
+        "gn-relations": (4, 8, check_relations),
+        "braid-relations": (3, 8, check_braid_relations),
+        "oracle": (3, 8, calibrate_against_phi),
+    }[args.which]
     if not lo <= args.n <= hi:
         raise CliError(
             f"check {args.which} supports {lo} <= n <= {hi}", USAGE_ERROR
         )
-    if args.which == "gn-relations":
-        report = check_relations(args.n)
-    elif args.which == "braid-relations":
-        report = check_braid_relations(args.n)
-    else:
-        results = calibrate_against_phi(args.n)
-        report = [
-            {
-                "relation": "oracle",
-                "instance": f"i={r['i']}",
-                "ok": r["match"] == "exact",
-                **r,
-            }
-            for r in results
-        ]
+    report = suite(args.n)
     passed = report_passed(report)
     doc = {
         "check": args.which,
@@ -323,7 +284,9 @@ def cmd_simulate(args):
 def _attach_values(argv):
     """Write "--set-rest VALUE" and "--set-t VALUE" as "--set-rest=VALUE":
     argparse reads only -N and -N.N as negative numbers, so a separate word
-    such as -2/3 or -1e3 would be taken for an option, not for the value."""
+    such as -2/3 or -1e3 would be taken for an option, not for the value.
+    The parsers accept no abbreviation, so the full names are the only
+    spellings of these options."""
     out = []
     words = iter(argv)
     for word in words:

@@ -12,7 +12,10 @@ det[x(O2) - x(O1), x(M) - x(O1)] crosses zero from positive to negative.
 Under the swap motion produced by sigma_motion (points placed clockwise on
 the unit circle, the swapping pair turning counterclockwise about the
 midpoint of their chord) the emitted word coincides, letter by letter,
-with the word of the algebraic generator image phi_generator(n, i).
+with the word of the algebraic generator image phi_generator(n, i) for
+3 <= n <= 11.  With SEGMENTS = 256 that fails beyond: at n = 12 the
+motions of i = 2, 3, 5, 7, 8, 9, 10 raise DegenerateEventError, and for
+n = 13..16 every generator's word differs.
 """
 
 from __future__ import annotations
@@ -171,7 +174,8 @@ def sigma_motion(n, i):
     """Swap motion of the i-th Artin generator: n points in clockwise index
     order on the unit circle; points i and i+1 make a counterclockwise
     half-turn about the midpoint of their chord in SEGMENTS straight
-    segments, everything else rests."""
+    segments, everything else rests.  Its event word is that of
+    phi_generator(n, i) only for 3 <= n <= 11 (see the module docstring)."""
     if n < 3:
         raise ValueError("need at least 3 points")
     if not 1 <= i <= n - 1:
@@ -305,22 +309,27 @@ def calibrate_against_phi(n):
     """Compare, for every Artin generator, the geometric event word of the
     swap motion with the algebraic generator image.
 
-    Returns per-generator entries whose "match" field is "exact" when the
-    letter sequences coincide and "mismatch" otherwise."""
+    Returns one report entry per generator, shaped like the relation
+    suites' entries: "ok" is true and "match" is "exact" when the letter
+    sequences coincide, "mismatch" otherwise."""
     if n < 3:
         raise ValueError("need at least 3 points")
-    results = []
+    report = []
     for i in range(1, n):
         events = detect_events(sigma_motion(n, i))
         geometric = events_to_word(events, n)
         expected = phi_generator(n, i).word
-        results.append(
+        exact = geometric == expected
+        report.append(
             {
+                "relation": "oracle",
+                "instance": f"i={i}",
+                "ok": exact,
                 "i": i,
-                "match": "exact" if geometric == expected else "mismatch",
+                "match": "exact" if exact else "mismatch",
                 "events": len(events),
                 "geometric": str(geometric),
                 "expected": str(expected),
             }
         )
-    return results
+    return report

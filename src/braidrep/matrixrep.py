@@ -16,14 +16,16 @@ left-to-right (word) or right-to-left (reversed) product of its letter
 matrices; the source data does not fix which, so both exist and the
 calibrated default is DEFAULT_PRODUCT_ORDER.
 
-No letter matrix is built: a product is one fold over sparse lines
+No letter matrix is built: a product is one fold over sparse columns
 ({index: nonzero value}) from the identity on.  M . a(i,j,k) rewrites the
-columns ij, kj, jk, ji of M, a(i,j,k) . M the rows ij, ik, kj, ki, jk, ji,
-and a Burau letter two columns.  Scalars are LaurentPoly (symbolic), int
-(every specialised value +-1, its own inverse) or exact Fraction.
+columns ij, kj, jk, ji of M, and a Burau letter two columns.  The reversed
+product of a word u v, M(v) . M(u), is the word-order product of v u, so
+it folds the same rewrites over the letters in reverse.  Scalars are
+LaurentPoly (symbolic), int (every specialised value +-1, its own inverse)
+or exact Fraction.
 
 Every result, symbolic, specialised or Burau, is one sparse PolyMatrix
-holding the folded lines as rows {r: {c: nonzero value}}; its entries
+holding the folded columns as rows {r: {c: nonzero value}}; its entries
 print with str, so a Fraction shows as "p/q" and an int as itself.
 """
 
@@ -173,11 +175,9 @@ def _fold(dim, one, letters, ops):
     return lines
 
 
-def _gn_ops(n, scalar, one, order):
-    """Rewrites of the lines for the letter a(i,j,k), one computation per
+def _gn_ops(n, scalar, one):
+    """Rewrites of the columns of M for M . a(i,j,k), one computation per
     triple; scalar(name) is the pair (value, inverse) of a variable."""
-    if order not in (PRODUCT_WORD_ORDER, PRODUCT_REVERSED_ORDER):
-        raise ValueError(f"unknown product order {order!r}")
     index = basis_index(n)
 
     @cache
@@ -189,28 +189,24 @@ def _gn_ops(n, scalar, one, order):
         ij, ik, kj, ki, jk, ji = (
             index[pair] for pair in ((i, j), (i, k), (k, j), (k, i), (j, k), (j, i))
         )
-        if order == PRODUCT_WORD_ORDER:     # M . a: the lines are columns
-            rules = [(ij, [(t, ij), (one - t, ik)]), (kj, [(u, kj), (one - u, ki)]),
-                     (jk, [(s, jk)]), (ji, [(s_inv, ji)])]
-        else:                               # a . M: the lines are rows
-            rules = [(ij, [(t, ij)]), (ik, [(one, ik), (one - t, ij)]),
-                     (kj, [(u, kj)]), (ki, [(one, ki), (one - u, kj)]),
-                     (jk, [(s, jk)]), (ji, [(s_inv, ji)])]
+        rules = [(ij, [(t, ij), (one - t, ik)]), (kj, [(u, kj), (one - u, ki)]),
+                 (jk, [(s, jk)]), (ji, [(s_inv, ji)])]
         return _line_ops(rules, one)
 
     return ops
 
 
 def _word_lines(word, scalar, one, order):
-    ops = _gn_ops(word.n, scalar, one, order)
-    triples = (t if e == 1 else t[::-1] for t, e in word.letters)
-    return _fold(word.n * (word.n - 1), one, triples, ops)
+    """Columns of the word's matrix under the product order."""
+    if order not in (PRODUCT_WORD_ORDER, PRODUCT_REVERSED_ORDER):
+        raise ValueError(f"unknown product order {order!r}")
+    letters = word.letters if order == PRODUCT_WORD_ORDER else word.letters[::-1]
+    triples = (t if e == 1 else t[::-1] for t, e in letters)
+    return _fold(word.n * (word.n - 1), one, triples, _gn_ops(word.n, scalar, one))
 
 
-def _rows(lines, order):
-    """Sparse rows {r: {c: value}} of folded lines."""
-    if order == PRODUCT_REVERSED_ORDER:
-        return {r: line for r, line in enumerate(lines) if line}
+def _rows(lines):
+    """Sparse rows {r: {c: value}} of folded columns."""
     rows = {}
     for c, line in enumerate(lines):
         for r, v in line.items():
@@ -228,42 +224,42 @@ def rep_of_word(word, order=None):
     order = order or DEFAULT_PRODUCT_ORDER
     ring = LaurentRing.for_strands(word.n)
     lines = _word_lines(word, _laurent_scalar(ring), ring.one(), order)
-    return PolyMatrix(len(lines), _rows(lines, order), word.n)
+    return PolyMatrix(len(lines), _rows(lines), word.n)
 
 
 def numeric_rep_of_word(word, assignment, order=None):
     """The matrix of the word with every variable specialised, folded in
-    int when all values are +-1 and in exact Fractions otherwise.
+    int when all values are +-1 and in exact Fractions otherwise.  The
+    assignment must give every variable (see strand_assignment).
 
     Specialisation is a ring homomorphism, so this equals specialising the
     symbolic product; it is the fast path for long words."""
     order = order or DEFAULT_PRODUCT_ORDER
-    names = LaurentRing.for_strands(word.n).names
-    missing = [name for name in names if name not in assignment]
-    if missing:
-        raise ValueError(f"missing assignment for variable {missing[0]!r}")
-    values = [Fraction(assignment[name]) for name in names]
-    if not all(values):
-        raise ValueError("variables are units; zero assignments are not allowed")
-    if all(abs(v) == 1 for v in values):
-        scalars = {name: (int(v), int(v)) for name, v in zip(names, values)}
+    assignment = strand_assignment(word.n, assignment, rest=None)
+    if all(abs(v) == 1 for v in assignment.values()):
+        scalars = {name: (int(v), int(v)) for name, v in assignment.items()}
     else:
-        scalars = {name: (v, 1 / v) for name, v in zip(names, values)}
+        scalars = {name: (v, 1 / v) for name, v in assignment.items()}
     lines = _word_lines(word, scalars.__getitem__, 1, order)
-    return PolyMatrix(len(lines), _rows(lines, order), word.n)
+    return PolyMatrix(len(lines), _rows(lines), word.n)
 
 
 def strand_assignment(n, values=None, rest=1):
-    """Assignment for all of t1..tn, s1..sn; explicit values win over rest."""
-    assignment = {}
-    for name in LaurentRing.for_strands(n).names:
-        assignment[name] = Fraction(rest)
-    if values:
-        for name, v in values.items():
-            if name not in assignment:
-                raise ValueError(f"unknown variable {name!r}")
-            assignment[name] = Fraction(v)
-    return assignment
+    """Exact Fraction values for all of t1..tn, s1..sn: explicit values win
+    over rest, and with rest=None every variable must be given.  Names must
+    be known and every value nonzero, since the variables are units."""
+    values = values or {}
+    names = LaurentRing.for_strands(n).names
+    for name in values:
+        if name not in names:
+            raise ValueError(f"unknown variable {name!r}")
+    missing = [name for name in names if name not in values]
+    if rest is None and missing:
+        raise ValueError(
+            f"variables left unassigned (add --set-rest): {', '.join(missing)}")
+    if 0 in (rest, *values.values()):
+        raise ValueError("variables are units; zero assignments are not allowed")
+    return {name: Fraction(values.get(name, rest)) for name in names}
 
 
 def corner_entry(matrix, row_pair, col_pair):
@@ -292,7 +288,7 @@ def check_relations(n):
         raise ValueError("relation checks need n >= 4")
     ring = LaurentRing.for_strands(n)
     one, dim = ring.one(), n * (n - 1)
-    ops = _gn_ops(n, _laurent_scalar(ring), one, PRODUCT_WORD_ORDER)
+    ops = _gn_ops(n, _laurent_scalar(ring), one)
     triples = list(permutations(range(1, n + 1), 3))
     # (relation, instance, left word, right word); each word is 0-4 triples
     instances = [(1, f"a{t} a{t[::-1]} = 1", (t, t[::-1]), ()) for t in triples]
@@ -367,7 +363,7 @@ def burau_unreduced(w):
         return _line_ops(rules, one)
 
     lines = _fold(w.n, one, w.letters, ops)
-    return PolyMatrix(w.n, _rows(lines, PRODUCT_WORD_ORDER))
+    return PolyMatrix(w.n, _rows(lines))
 
 
 def burau_reduced(w):

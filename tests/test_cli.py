@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from braidrep import cli
+from braidrep import cli, collinearity
 from braidrep.braids import MAX_LETTERS
 from braidrep.cli import (
     MAX_DECIMAL_EXPONENT,
@@ -85,9 +85,11 @@ def test_rep_rejects_zero_assignment(capsys):
 
 
 def test_rep_symbolic_guard_for_long_braids(capsys):
+    # a hard bound: no option lifts it, the way out is to specialise
     code, _, err = run(capsys, "rep", "--n", "5", "--bigelow")
     assert code == 2
-    assert "--symbolic" in err
+    assert "--set-rest" in err
+    assert "--symbolic" not in err
 
 
 def test_rep_symbolic_output_for_short_braids(capsys):
@@ -145,6 +147,18 @@ def test_check_oracle(capsys):
     doc = json.loads(out)
     assert doc["passed"] is True
     assert all(e["match"] == "exact" for e in doc["instances"])
+
+
+def test_check_oracle_reports_a_mismatch(capsys, monkeypatch):
+    # a wrong algebraic image for generator 2 must fail that instance only
+    real = collinearity.phi_generator
+    monkeypatch.setattr(collinearity, "phi_generator",
+                        lambda n, i: real(n, 1 if i == 2 else i))
+    code, out, _ = run(capsys, "check", "--n", "4", "oracle")
+    doc = json.loads(out)
+    assert code == 1 and doc["passed"] is False and doc["failures"] == ["i=2"]
+    assert [(e["ok"], e["match"]) for e in doc["instances"]] == [
+        (True, "exact"), (False, "mismatch"), (True, "exact")]
 
 
 def test_check_bounds(capsys):
@@ -263,6 +277,53 @@ def test_partial_assignment_without_rest_is_rejected(capsys):
     code, _, err = run(capsys, "rep", "--n", "3", "s1^2", "--set", "t1=2")
     assert code == 2
     assert "--set-rest" in err
+
+
+UNITS = "variables are units; zero assignments are not allowed\n"
+
+
+@pytest.mark.parametrize(
+    "assign, message",
+    [(("--set", "t9=2", "--set-rest", "1"), "unknown variable 't9'\n"),
+     (("--set", "t1=0", "--set-rest", "1"), UNITS),
+     (("--set", "t1=2", "--set-rest", "0"), UNITS),
+     (("--set", "t1=2"), "variables left unassigned (add --set-rest): "
+                         "t2, t3, s1, s2, s3\n")],
+    ids=["unknown", "zero", "zero-rest", "unset"],
+)
+def test_assignment_error_texts(capsys, assign, message):
+    assert run(capsys, "rep", "--n", "3", "s1^2", *assign) == (2, "", message)
+
+
+def test_entry_names_are_the_printed_basis(capsys):
+    code, out, _ = run(capsys, "rep", "--n", "4", "s1^2")
+    doc = json.loads(out)
+    values = {(e["row"], e["col"]): e["value"] for e in doc["entries"]}
+    for r, row in enumerate(doc["basis"]):
+        for c, col in enumerate(doc["basis"]):
+            expected = json.dumps(values.get((r, c), "0")) + "\n"
+            assert run(capsys, "rep", "--n", "4", "s1^2", "--entry", row, col) == (
+                0, expected, "")
+
+
+@pytest.mark.parametrize("name", ["x_01_2", "x_+1_2", "x_1_1", "x_1_5", "x_12", "y_1_2"])
+def test_entry_refuses_names_outside_the_basis(capsys, name):
+    code, out, err = run(capsys, "rep", "--n", "4", "s1^2", "--entry", "x_1_2", name)
+    assert (code, out) == (2, "")
+    assert err == f"not a basis pair for n=4: {name!r}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("rep", "--n", "3", "s1^2", "--set-r", "-2/3"),
+     ("rep", "--n", "3", "s1^2", "--set-r=-2/3"),
+     ("burau", "--n", "3", "s1", "--set", "-2/3")],
+    ids=["set-r", "set-r=", "burau-set"],
+)
+def test_abbreviated_option_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage:") and "unrecognized arguments" in err
 
 
 def test_usage_error_exit_code(capsys):

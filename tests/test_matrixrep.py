@@ -243,6 +243,34 @@ def test_numeric_fold_matches_symbolic_specialisation():
         )
 
 
+ALL_ONES_BUT_T1 = {"t1": 2, "t2": 1, "t3": 1, "s1": 1, "s2": 1, "s3": 1}
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [({k: v for k, v in ALL_ONES_BUT_T1.items() if k != "s3"}, "s3"),
+     ({**ALL_ONES_BUT_T1, "t4": 1}, "unknown variable 't4'"),
+     ({**ALL_ONES_BUT_T1, "s2": 0}, "zero assignments")],
+    ids=["missing", "unknown", "zero"],
+)
+def test_strand_assignment_without_rest_checks_every_value(values, message):
+    with pytest.raises(ValueError, match=message):
+        strand_assignment(3, values, rest=None)
+    with pytest.raises(ValueError, match=message):
+        numeric_rep_of_word(GnWord(3), values)
+
+
+def test_numeric_fold_of_plain_int_values_is_exact():
+    # t1 = 2 is not a unit of Z, so t1^-1 must be the Fraction 1/2, not 0.5
+    # (the corner is t1^-2 = 1/4); columns no letter touched keep the int 1
+    w = GnWord(3, [((3, 2, 1), 1), ((1, 2, 3), -1), ((3, 1, 2), 1)])
+    matrix = numeric_rep_of_word(w, ALL_ONES_BUT_T1)
+    values = [v for _, _, v in matrix.nonzero_entries()]
+    assert all(type(v) is Fraction or v == 1 and type(v) is int for v in values)
+    assert Fraction(1, 4) in values
+    assert matrix == rep_of_word(w).specialize(strand_assignment(3, ALL_ONES_BUT_T1))
+
+
 def test_corner_entry_of_identity():
     m = identity_for(5)
     assert corner_entry(m, (1, 2), (1, 2)) == 1
