@@ -9,7 +9,9 @@ spelled in full; argparse's abbreviations are turned off.
 The command line uses the library's calibrated conventions only (the
 commutator and product order in braids and matrixrep), and simulate uses
 the detector's fixed time resolution and swap-motion segment count
-(collinearity.TOLERANCE and collinearity.SEGMENTS).
+(collinearity.TOLERANCE and collinearity.SEGMENTS).  simulate --sigma N I
+accepts 3 <= N <= 11 (collinearity.MAX_SIGMA_POINTS): beyond that the swap
+motion's event word is not the generator image.
 """
 
 from __future__ import annotations
@@ -46,7 +48,8 @@ USAGE_ERROR = 2
 FAILURE = 1
 
 # Input bounds, checked before anything is allocated: the strand count of
-# phi, rep, burau and simulate --sigma (rep matrices are n(n-1) square),
+# phi, rep and burau (rep matrices are n(n-1) square; simulate --sigma
+# takes at most collinearity.MAX_SIGMA_POINTS),
 # the phi letters of an unspecialised rep and the text of a rational value
 # (Fraction builds 10**E for a decimal exponent E).
 MAX_STRANDS = 32
@@ -154,7 +157,9 @@ def _assignment(args, n):
     try:
         return strand_assignment(n, explicit, rest)
     except ValueError as exc:
-        raise CliError(str(exc), USAGE_ERROR)
+        # the library names the missing variables; --set-rest assigns them
+        message = str(exc).replace("unassigned:", "unassigned (add --set-rest):")
+        raise CliError(message, USAGE_ERROR)
 
 
 def _printable(render, *args):
@@ -255,7 +260,6 @@ def cmd_simulate(args):
         raise CliError("give a trajectory file or --sigma N I", USAGE_ERROR)
     if args.sigma is not None:
         n, i = args.sigma
-        _check_strands(n, 3)
         try:
             ts = sigma_motion(n, i)
         except ValueError as exc:

@@ -15,7 +15,8 @@ midpoint of their chord) the emitted word coincides, letter by letter,
 with the word of the algebraic generator image phi_generator(n, i) for
 3 <= n <= 11.  With SEGMENTS = 256 that fails beyond: at n = 12 the
 motions of i = 2, 3, 5, 7, 8, 9, 10 raise DegenerateEventError, and for
-n = 13..16 every generator's word differs.
+n = 13..16 every generator's word differs, so sigma_motion refuses more
+than MAX_SIGMA_POINTS = 11 points.
 """
 
 from __future__ import annotations
@@ -30,8 +31,10 @@ from .gn3 import GnWord, phi_generator
 # Time resolution of detect_events: sign changes are bisected down to it,
 # and two events closer than it are degenerate.
 TOLERANCE = 1e-12
-# Straight segments in each moving path of a built-in swap motion.
+# Straight segments in each moving path of a built-in swap motion, and the
+# most points whose swap-motion word at that count is the generator image.
 SEGMENTS = 256
+MAX_SIGMA_POINTS = 11
 
 
 class TrajectoryError(ValueError):
@@ -175,9 +178,9 @@ def sigma_motion(n, i):
     order on the unit circle; points i and i+1 make a counterclockwise
     half-turn about the midpoint of their chord in SEGMENTS straight
     segments, everything else rests.  Its event word is that of
-    phi_generator(n, i) only for 3 <= n <= 11 (see the module docstring)."""
-    if n < 3:
-        raise ValueError("need at least 3 points")
+    phi_generator(n, i), so n must lie in 3..MAX_SIGMA_POINTS."""
+    if not 3 <= n <= MAX_SIGMA_POINTS:
+        raise ValueError(f"the swap motion needs 3 to {MAX_SIGMA_POINTS} points")
     if not 1 <= i <= n - 1:
         raise ValueError(f"generator index {i} out of range 1..{n - 1}")
 

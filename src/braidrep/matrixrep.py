@@ -255,8 +255,7 @@ def strand_assignment(n, values=None, rest=1):
             raise ValueError(f"unknown variable {name!r}")
     missing = [name for name in names if name not in values]
     if rest is None and missing:
-        raise ValueError(
-            f"variables left unassigned (add --set-rest): {', '.join(missing)}")
+        raise ValueError(f"variables left unassigned: {', '.join(missing)}")
     if 0 in (rest, *values.values()):
         raise ValueError("variables are units; zero assignments are not allowed")
     return {name: Fraction(values.get(name, rest)) for name in names}

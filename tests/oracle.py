@@ -1,11 +1,17 @@
-"""Reference matrices for the column-operation fold of braidrep.matrixrep.
+"""Reference matrices for the column-operation fold of braidrep.matrixrep,
+and reference Laurent arithmetic for the packed keys of braidrep.laurent.
 
 Every letter becomes a full matrix, written directly from the generator
 formula, and a word is the plain sparse product of its letter matrices.
 This is slow and independent of the fold; the tests compare the two.
 Matrices here are sparse rows {r: {c: value}} unless a function says
 otherwise.
+
+A reference polynomial is a plain dict {exponent tuple: nonzero int}, one
+tuple slot per ring variable in ring order, with no packing and no bound.
 """
+
+from fractions import Fraction
 
 from braidrep.laurent import LaurentRing
 from braidrep.matrixrep import (
@@ -108,3 +114,48 @@ def burau_product(w):
     return product(w.n, LaurentRing.burau().one(),
                    [burau_generator(w.n, i, e) for i, e in w.letters])
 
+
+
+def laurent_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def laurent_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def laurent_eval(names, a, assignment):
+    total = Fraction(0)
+    for vec, coeff in a.items():
+        term = Fraction(coeff)
+        for name, e in zip(names, vec):
+            term *= Fraction(assignment[name]) ** e
+        total += term
+    return total
+
+
+def laurent_str(names, a):
+    """Terms in decreasing lexicographic order of exponent tuples, each as
+    coefficient*name^e with unit coefficients and exponents left out."""
+    if not a:
+        return "0"
+    parts = []
+    for vec in sorted(a, reverse=True):
+        coeff = a[vec]
+        factors = "*".join(name if e == 1 else f"{name}^{e}"
+                           for name, e in zip(names, vec) if e)
+        if not factors:
+            parts.append(str(coeff))
+        elif coeff in (1, -1):
+            parts.append(("-" if coeff < 0 else "") + factors)
+        else:
+            parts.append(f"{coeff}*{factors}")
+    return " + ".join(parts)

@@ -355,8 +355,12 @@ def test_braid_length_is_capped(capsys, command, braid):
 
 
 def test_simulate_sigma_size_is_capped(capsys):
-    code, _, err = run(capsys, "simulate", "--sigma", str(MAX_STRANDS + 1), "1")
-    assert code == 2 and str(MAX_STRANDS) in err
+    # beyond 11 points the swap motion's word is not the generator image
+    assert collinearity.MAX_SIGMA_POINTS == 11
+    for n in (12, 13, MAX_STRANDS + 1):
+        code, out, err = run(capsys, "simulate", "--sigma", str(n), "1")
+        assert (code, out) == (2, "")
+        assert "11" in err and len(err.splitlines()) == 1
 
 
 def test_simulate_rejects_non_numeric_coordinate(capsys, tmp_path):

@@ -55,6 +55,9 @@ def test_sigma_motion_validates_arguments():
         sigma_motion(5, 5)
     with pytest.raises(ValueError):
         sigma_motion(2, 1)
+    with pytest.raises(ValueError, match="11"):
+        sigma_motion(12, 1)
+    assert sigma_motion(11, 10).n == 11
 
 
 def test_no_events_for_stationary_generic_points():

@@ -260,6 +260,15 @@ def test_strand_assignment_without_rest_checks_every_value(values, message):
         numeric_rep_of_word(GnWord(3), values)
 
 
+def test_missing_variable_message_names_no_cli_option():
+    # the library names the missing variables; the command line adds its
+    # own --set-rest hint (tests/test_cli.py::test_assignment_error_texts)
+    with pytest.raises(ValueError) as info:
+        strand_assignment(3, {"t1": 2}, rest=None)
+    assert str(info.value) == "variables left unassigned: t2, t3, s1, s2, s3"
+    assert "--" not in str(info.value)
+
+
 def test_numeric_fold_of_plain_int_values_is_exact():
     # t1 = 2 is not a unit of Z, so t1^-1 must be the Fraction 1/2, not 0.5
     # (the corner is t1^-2 = 1/4); columns no letter touched keep the int 1
