@@ -7,11 +7,11 @@ braid, degenerate motion), 2 usage or parse error.  Options must be
 spelled in full; argparse's abbreviations are turned off.
 
 The command line uses the library's calibrated conventions only (the
-commutator and product order in braids and matrixrep), and simulate uses
-the detector's fixed time resolution and swap-motion segment count
-(collinearity.TOLERANCE and collinearity.SEGMENTS).  simulate --sigma N I
-accepts 3 <= N <= 11 (collinearity.MAX_SIGMA_POINTS): beyond that the swap
-motion's event word is not the generator image.
+commutator and product order in braids and matrixrep).  simulate finds
+events exactly.  simulate --sigma N I accepts 3 <= N <= 11
+(collinearity.MAX_SIGMA_POINTS): beyond that the swap motion's event word
+is not the generator image.  simulate FILE takes at most
+collinearity.MAX_POINTS points and MAX_TRIPLE_INTERVALS triple-intervals.
 """
 
 from __future__ import annotations
@@ -267,7 +267,7 @@ def cmd_simulate(args):
     else:
         try:
             ts = load_trajectories(args.file)
-        except FileNotFoundError as exc:
+        except OSError as exc:      # missing, a directory, not readable
             raise CliError(str(exc), USAGE_ERROR)
         except TrajectoryError as exc:
             raise CliError(f"malformed trajectory file: {exc}", USAGE_ERROR)

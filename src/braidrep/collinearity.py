@@ -2,8 +2,11 @@
 piecewise-linear trajectories, detect the moments when three points become
 collinear, and emit one triple-generator letter per event.
 
-This module is the only place floating point appears; it feeds the exact
-pipeline through discrete words alone.
+Detection is exact.  Floats are dyadic rationals, so between consecutive
+breakpoint times a point moves as P0 + u D, u in [0, 1], with integer P0
+and D after scaling, and each orientation determinant is an integer
+quadratic in u, whose roots (p + q sqrt(d)) / r exact sign tests find,
+order and classify.  Event times are those roots rounded to floats.
 
 Emission convention (calibrated, see calibrate_against_phi): an event with
 collinear points O1, O2, M, where M lies between the other two, is emitted
@@ -13,28 +16,30 @@ Under the swap motion produced by sigma_motion (points placed clockwise on
 the unit circle, the swapping pair turning counterclockwise about the
 midpoint of their chord) the emitted word coincides, letter by letter,
 with the word of the algebraic generator image phi_generator(n, i) for
-3 <= n <= 11.  With SEGMENTS = 256 that fails beyond: at n = 12 the
-motions of i = 2, 3, 5, 7, 8, 9, 10 raise DegenerateEventError, and for
-n = 13..16 every generator's word differs, so sigma_motion refuses more
-than MAX_SIGMA_POINTS = 11 points.
+3 <= n <= 11.  With SEGMENTS = 256 that fails beyond: at n = 12 six of
+the eleven words differ, and for n = 13..16 every word does, so
+sigma_motion refuses more than MAX_SIGMA_POINTS = 11 points.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_right
+from fractions import Fraction
+from functools import cmp_to_key
 from itertools import combinations
+from typing import NamedTuple
 
 from .gn3 import GnWord, phi_generator
 
-# Time resolution of detect_events: sign changes are bisected down to it,
-# and two events closer than it are degenerate.
-TOLERANCE = 1e-12
 # Straight segments in each moving path of a built-in swap motion, and the
 # most points whose swap-motion word at that count is the generator image.
 SEGMENTS = 256
 MAX_SIGMA_POINTS = 11
+# Bounds on a trajectory file, checked before its TrajectorySet is built: its
+# points, and its quadratics, one per point triple and interval (seconds at most).
+MAX_POINTS = 32
+MAX_TRIPLE_INTERVALS = 2 ** 16
 
 
 class TrajectoryError(ValueError):
@@ -45,110 +50,87 @@ class DegenerateEventError(RuntimeError):
     """Tangency or coinciding event times; the motion is not generic."""
 
 
-class CollinearityEvent:
-    __slots__ = ("time", "triple")
-
-    def __init__(self, time, triple):
-        i, j, k = triple
-        if len({i, j, k}) != 3:
-            raise ValueError(f"event triple must be pairwise distinct: {triple}")
-        self.time = float(time)
-        self.triple = (i, j, k)
-
-    def __repr__(self):
-        return f"CollinearityEvent(t={self.time:.6f}, triple={self.triple})"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CollinearityEvent)
-            and self.time == other.time
-            and self.triple == other.triple
-        )
+class CollinearityEvent(NamedTuple):
+    time: float
+    triple: tuple
 
 
 class TrajectorySet:
     """Piecewise-linear paths of n labelled points over the time interval
-    [0, 1], with matching start and end point sets."""
+    [0, 1], with matching start and end point sets and no two points ever
+    meeting.  `times` is the sorted union of all breakpoint times."""
 
-    __slots__ = ("n", "paths", "_times")
-
-    MIN_SEPARATION = 1e-9
+    __slots__ = ("n", "paths", "times", "_scaled")
 
     def __init__(self, paths):
         self.n = len(paths)
-        self.paths = [
-            [(float(t), float(x), float(y)) for t, x, y in path] for path in paths
-        ]
-        self._times = [[bp[0] for bp in path] for path in self.paths]
-        self._validate()
-
-    def _validate(self):
+        self.paths = [[(float(t), float(x), float(y)) for t, x, y in path] for path in paths]
         if self.n < 3:
             raise TrajectoryError("need at least 3 points")
-        for p, path in enumerate(self.paths):
-            if len(path) < 2:
-                raise TrajectoryError(f"path {p + 1} needs at least two breakpoints")
-            times = self._times[p]
+        for p, path in enumerate(self.paths, 1):
+            times = [t for t, _, _ in path]
+            if len(times) < 2:
+                raise TrajectoryError(f"path {p} needs at least two breakpoints")
             if times[0] != 0.0:
-                raise TrajectoryError(
-                    f"path {p + 1} must start at time 0, got {times[0]}"
-                )
+                raise TrajectoryError(f"path {p} must start at time 0, got {times[0]}")
             if times[-1] != 1.0:
-                raise TrajectoryError(
-                    f"path {p + 1} must end at time 1, got {times[-1]}"
-                )
+                raise TrajectoryError(f"path {p} must end at time 1, got {times[-1]}")
             if any(t1 >= t2 for t1, t2 in zip(times, times[1:])):
                 raise TrajectoryError(
-                    f"path {p + 1} breakpoint times must be strictly increasing"
-                )
-        start = sorted((round(x, 6), round(y, 6)) for _, x, y in
-                       (path[0] for path in self.paths))
-        end = sorted((round(x, 6), round(y, 6)) for _, x, y in
-                     (path[-1] for path in self.paths))
-        if start != end:
+                    f"path {p} breakpoint times must be strictly increasing")
+        self.times = sorted({t for path in self.paths for t, _, _ in path})
+        self._scaled = []    # per time: a scale and every coordinate times it
+        for points in zip(*map(self._exact_positions, self.paths)):
+            ratios = [v.as_integer_ratio() for point in points for v in point]
+            scale = math.lcm(*(den for _, den in ratios))
+            self._scaled.append((scale, [num * (scale // den) for num, den in ratios]))
+        ends = [sorted((Fraction(x), Fraction(y)) for _, x, y in (p[k] for p in self.paths))
+                for k in (0, -1)]
+        if ends[0] != ends[1]:
             raise TrajectoryError(
-                "start and end point sets differ (braid boundary condition)"
-            )
-        for t in self.sample_times():
-            pts = [self.position(p, t) for p in range(1, self.n + 1)]
-            for a, b in combinations(range(self.n), 2):
-                dx = pts[a][0] - pts[b][0]
-                dy = pts[a][1] - pts[b][1]
-                if dx * dx + dy * dy < self.MIN_SEPARATION ** 2:
-                    raise TrajectoryError(
-                        f"points {a + 1} and {b + 1} coincide at time {t:.6f}"
-                    )
+                "start and end point sets differ (braid boundary condition)")
+        for k, segment in enumerate(self.segments()):
+            pairs = combinations(enumerate(segment, 1), 2)
+            for (p, (x, y, dx, dy)), (q, (x2, y2, dx2, dy2)) in pairs:
+                # P - Q runs from e to e + f: through 0 if both are on a line with 0,
+                # not on one side (the orientation and dot product tests below)
+                ex, ey, fx, fy = x - x2, y - y2, dx - dx2, dy - dy2
+                if ex * (ey + fy) == ey * (ex + fx) and ex * (ex + fx) + ey * (ey + fy) <= 0:
+                    u = (-(ex * fx + ey * fy), 0, 0, max(fx * fx + fy * fy, 1))
+                    time = _time(self.times[k], self.times[k + 1], u)
+                    raise TrajectoryError(f"points {p} and {q} coincide at time {time:.6f}")
 
-    def position(self, p, t):
-        """Interpolated position of point p (1-based) at time t in [0, 1]."""
-        path = self.paths[p - 1]
-        times = self._times[p - 1]
-        if t <= 0.0:
-            return (path[0][1], path[0][2])
-        if t >= 1.0:
-            return (path[-1][1], path[-1][2])
-        hi = bisect_right(times, t)
-        t0, x0, y0 = path[hi - 1]
-        t1, x1, y1 = path[hi]
-        u = (t - t0) / (t1 - t0)
-        return (x0 + u * (x1 - x0), y0 + u * (y1 - y0))
+    def _exact_positions(self, path):
+        """The path's exact point at each of self.times (Fractions inside a move)."""
+        column, j = [], 0
+        for t in self.times:
+            while path[j][0] < t:
+                j += 1
+            (t0, x0, y0), (t1, x1, y1) = path[j - 1], path[j]
+            if t == t1 or (x0, y0) == (x1, y1):
+                column.append((x1, y1))
+            else:
+                u = (Fraction(t) - Fraction(t0)) / (Fraction(t1) - Fraction(t0))
+                column.append([Fraction(v0) + u * (Fraction(v1) - Fraction(v0))
+                               for v0, v1 in ((x0, x1), (y0, y1))])
+        return column
 
-    def sample_times(self):
-        """Union of all breakpoint times plus the midpoint of every gap."""
-        times = sorted({t for ts in self._times for t in ts})
-        grid = []
-        for a, b in zip(times, times[1:]):
-            grid.append(a)
-            grid.append((a + b) / 2.0)
-        grid.append(times[-1])
-        return grid
+    def segments(self):
+        """For each interval [times[k], times[k + 1]], every point's motion
+        (x, y, dx, dy) in integers over one positive scale: the point is at
+        (x + u dx, y + u dy) / scale for u in [0, 1], the interval's own."""
+        for (s0, c0), (s1, c1) in zip(self._scaled, self._scaled[1:]):
+            f0, f1 = math.lcm(s0, s1) // s0, math.lcm(s0, s1) // s1
+            c0, c1 = [v * f0 for v in c0], [v * f1 for v in c1]
+            yield [(c0[i], c0[i + 1], c1[i] - c0[i], c1[i + 1] - c0[i + 1])
+                   for i in range(0, 2 * self.n, 2)]
 
 
 def load_trajectories(path):
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:    # not JSON or UTF-8, too deep
             raise TrajectoryError(f"not valid JSON: {exc}") from exc
     return trajectories_from_json(data)
 
@@ -159,6 +141,8 @@ def trajectories_from_json(data):
     paths = data["paths"]
     if not isinstance(paths, list) or len(paths) != data["n"]:
         raise TrajectoryError('"paths" must list one path per point')
+    if len(paths) > MAX_POINTS:
+        raise TrajectoryError(f"at most {MAX_POINTS} points")
     for path in paths:
         if not isinstance(path, list) or not all(
             isinstance(bp, list) and len(bp) == 3 for bp in path
@@ -166,10 +150,14 @@ def trajectories_from_json(data):
             raise TrajectoryError("each breakpoint must be a [t, x, y] triple")
     try:
         paths = [[tuple(float(v) for v in bp) for bp in path] for path in paths]
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise TrajectoryError(f"breakpoint values must be numbers: {exc}") from exc
     if not all(math.isfinite(v) for path in paths for bp in path for v in bp):
         raise TrajectoryError("breakpoint values must be finite")
+    intervals = len({bp[0] for path in paths for bp in path}) - 1
+    work = math.comb(len(paths), 3) * intervals
+    if work > MAX_TRIPLE_INTERVALS:
+        raise TrajectoryError(f"{work} triple-intervals, over {MAX_TRIPLE_INTERVALS}")
     return TrajectorySet(paths)
 
 
@@ -177,8 +165,9 @@ def sigma_motion(n, i):
     """Swap motion of the i-th Artin generator: n points in clockwise index
     order on the unit circle; points i and i+1 make a counterclockwise
     half-turn about the midpoint of their chord in SEGMENTS straight
-    segments, everything else rests.  Its event word is that of
-    phi_generator(n, i), so n must lie in 3..MAX_SIGMA_POINTS."""
+    segments, starting and ending exactly on the resting vertices, while
+    everything else rests.  Its event word is that of phi_generator(n, i),
+    so n must lie in 3..MAX_SIGMA_POINTS."""
     if not 3 <= n <= MAX_SIGMA_POINTS:
         raise ValueError(f"the swap motion needs 3 to {MAX_SIGMA_POINTS} points")
     if not 1 <= i <= n - 1:
@@ -195,112 +184,127 @@ def sigma_motion(n, i):
         x, y = vertex(p)
         if p in (i, i + 1):
             rx, ry = x - mx, y - my
-            path = []
-            for step in range(SEGMENTS + 1):
+            path = [(0.0, x, y)]
+            for step in range(1, SEGMENTS):
                 t = step / SEGMENTS
-                a = math.pi * t
-                ca, sa = math.cos(a), math.sin(a)
+                ca, sa = math.cos(math.pi * t), math.sin(math.pi * t)
                 path.append((t, mx + ca * rx - sa * ry, my + sa * rx + ca * ry))
-            paths.append(path)
+            paths.append(path + [(1.0, *vertex(2 * i + 1 - p))])
         else:
             paths.append([(0.0, x, y), (1.0, x, y)])
     return TrajectorySet(paths)
 
 
-def _orientation(pa, pb, pc):
-    return (pb[0] - pa[0]) * (pc[1] - pa[1]) - (pb[1] - pa[1]) * (pc[0] - pa[0])
-
-
-_PARITY = {
-    (0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1,
-    (0, 2, 1): -1, (2, 1, 0): -1, (1, 0, 2): -1,
-}
-
-
 def detect_events(ts):
-    """Locate all triple collinearity moments, refined by bisection.
-
-    Sign changes of the orientation determinant over the sample grid are
-    bisected down to TOLERANCE.  A determinant that touches zero at a grid
-    point without changing sign, or two events closer than TOLERANCE,
-    raise DegenerateEventError."""
-    grid = ts.sample_times()
+    """All triple collinearity events of the motion, in time order.  A
+    determinant that is zero at a breakpoint, a tangency, or two events at
+    the same instant raise DegenerateEventError."""
+    triples = list(combinations(range(1, ts.n + 1), 3))
     events = []
-    for triple in combinations(range(1, ts.n + 1), 3):
-        events.extend(_triple_events(ts, triple, grid))
-    events.sort(key=lambda e: e.time)
-    for e1, e2 in zip(events, events[1:]):
-        if e2.time - e1.time <= TOLERANCE:
-            raise DegenerateEventError(
-                f"events {e1.triple} and {e2.triple} coincide at t={e1.time:.12f}"
-            )
+    for k, segment in enumerate(ts.segments()):
+        t0, t1 = ts.times[k], ts.times[k + 1]
+        cross = {}    # cross(P_p(u), P_q(u)) as a quadratic in u, for p < q
+        pairs = combinations(enumerate(segment, 1), 2)
+        for (p, (x, y, dx, dy)), (q, (x2, y2, dx2, dy2)) in pairs:
+            cross[p, q] = (dx * dy2 - dy * dx2,
+                           x * dy2 - y * dx2 + dx * y2 - dy * x2,
+                           x * y2 - y * x2)
+        found = []
+        for a, b, c in triples:
+            # det[P_b - P_a, P_c - P_a] = cross(a, b) + cross(b, c) - cross(a, c)
+            (a2, a1, a0), (b2, b1, b0), (c2, c1, c0) = cross[a, b], cross[b, c], cross[a, c]
+            q2, q1, q0 = quad = (a2 + b2 - c2, a1 + b1 - c1, a0 + b0 - c0)
+            if q0 * (q2 + q1 + q0) > 0 and q2 * q0 <= 0:
+                continue    # equal end signs, opening away from zero: no root
+            found += [(_time(t0, t1, root), root, before, (a, b, c))
+                      for root, before in _crossings(quad, (a, b, c), t0, t1)]
+        found.sort(key=lambda event: event[0])    # leaves the exact sort little to do
+        found.sort(key=cmp_to_key(_exact_order))
+        events += [CollinearityEvent(time, _emitted(segment, triple, root, before))
+                   for time, root, before, triple in found]
     return events
 
 
-def _triple_events(ts, triple, grid):
-    a, b, c = triple
+# A root (p, q, d, r) stands for u = (p + q sqrt(d)) / r, with r > 0.
 
-    def det(t):
-        return _orientation(
-            ts.position(a, t), ts.position(b, t), ts.position(c, t)
-        )
-
-    values = [det(t) for t in grid]
-    out = []
-    for pos in range(len(grid) - 1):
-        v0, v1 = values[pos], values[pos + 1]
-        if v0 == 0.0:
-            prev = values[pos - 1] if pos > 0 else None
-            if prev is None or v1 == 0.0 or (prev < 0) == (v1 < 0):
-                raise DegenerateEventError(
-                    f"determinant of {triple} touches zero at t={grid[pos]:.12f}"
-                )
-            out.append(_make_event(ts, triple, grid[pos], prev))
-            continue
-        if v0 * v1 < 0.0:
-            lo, hi = grid[pos], grid[pos + 1]
-            flo = v0
-            while hi - lo > TOLERANCE:
-                mid = (lo + hi) / 2.0
-                fmid = det(mid)
-                if fmid == 0.0 or (fmid < 0) == (flo < 0):
-                    lo, flo = mid, fmid
-                else:
-                    hi = mid
-            out.append(_make_event(ts, triple, (lo + hi) / 2.0, v0))
-    return out
+def _sign(v):
+    return (v > 0) - (v < 0)
 
 
-def _make_event(ts, triple, time, sign_before):
-    pts = {p: ts.position(p, time) for p in triple}
-    middle = _middle_point(pts)
-    outers = [p for p in triple if p != middle]
-    # orient the outer pair so the emitted triple's orientation determinant
-    # falls from + to - through the event
-    for o1, o2 in (tuple(outers), tuple(reversed(outers))):
-        emitted = (o1, o2, middle)
-        parity = _PARITY[tuple(sorted(range(3), key=lambda pos: emitted[pos]))]
-        # parity maps the sorted triple's determinant sign to emitted's
-        if parity * (1 if sign_before > 0 else -1) > 0:
-            return CollinearityEvent(time, emitted)
-    raise AssertionError("unreachable: one outer order must match")
+def _crossings(quad, triple, t0, t1):
+    """Roots in (0, 1) of the integer quadratic a u^2 + b u + c, each with
+    the quadratic's sign just before it."""
+    a, b, c = quad
+    f0, f1, sa = _sign(c), _sign(a + b + c), _sign(a)
+    if not f0 or not f1:
+        raise DegenerateEventError(
+            f"determinant of {triple} touches zero at t={t1 if f0 else t0:.12f}")
+    if f0 != f1 and not a:
+        return [((-c * _sign(b), 0, 0, abs(b)), f0)]
+    if f0 != f1:    # one root; the larger one is where the sign turns to a's
+        return [((-b * sa, 1 if f1 == sa else -1, b * b - 4 * a * c, 2 * abs(a)), f0)]
+    # equal end signs: two roots if the vertex -b / 2a is in (0, 1) with the other sign
+    if sa != f0 or not 0 < -b * sa < 2 * a * sa or (disc := b * b - 4 * a * c) < 0:
+        return []
+    if not disc:
+        vertex = _time(t0, t1, (-b * sa, 0, 0, 2 * abs(a)))
+        raise DegenerateEventError(f"{triple} tangent to collinearity at t={vertex:.12f}")
+    return [((-b * sa, -1, disc, 2 * abs(a)), f0), ((-b * sa, 1, disc, 2 * abs(a)), -f0)]
 
 
-def _middle_point(pts):
-    """The point lying between the other two: the endpoints of the longest
-    pairwise segment are the outer ones."""
-    (pa, va), (pb, vb), (pc, vc) = pts.items()
+def _sign_sqrt(a, b, d):
+    """Sign of a + b sqrt(d) for integers a, b and d >= 0."""
+    sa, sb = _sign(a), _sign(b) if d else 0
+    if sa == sb or not sb:
+        return sa
+    return sa * _sign(a * a - b * b * d) if sa else sb
 
-    def dist2(u, v):
-        return (u[0] - v[0]) ** 2 + (u[1] - v[1]) ** 2
 
-    spans = [
-        (dist2(va, vb), pc),
-        (dist2(va, vc), pb),
-        (dist2(vb, vc), pa),
-    ]
-    spans.sort()
-    return spans[-1][1]
+def _exact_order(event1, event2):
+    """Sign of u1 - u2 for two events of one interval.  A comparison sort
+    compares every two neighbours of its result, so a tie is always seen."""
+    time, (p1, q1, d1, r1), _, triple1 = event1
+    _, (p2, q2, d2, r2), _, triple2 = event2
+    # r1 r2 (u1 - u2) = x + y with x = a + b sqrt(d1), y = -c sqrt(d2)
+    a, b, c = p1 * r2 - p2 * r1, q1 * r2, q2 * r1
+    sx, sy = _sign_sqrt(a, b, d1), -_sign_sqrt(0, c, d2)
+    sign = sx or sy
+    if sx and sy and sx != sy:    # the larger square wins
+        sign = sx * _sign_sqrt(a * a + b * b * d1 - c * c * d2, 2 * a * b, d1)
+    if not sign:
+        raise DegenerateEventError(
+            f"events {triple1} and {triple2} coincide at t={time:.12f}")
+    return sign
+
+
+def _emitted(segment, triple, root, before):
+    """The letter (O1, O2, M) of an event: M lies between O1 and O2, where
+    (M - O1).(M - O2) < 0, and det[O2 - O1, M - O1] falls through zero."""
+    p, q, d, r = root
+    for m in triple[:2]:
+        o1, o2 = (v for v in triple if v != m)
+        (ax, ay, adx, ady), (bx, by, bdx, bdy) = (
+            [v - w for v, w in zip(segment[m - 1], segment[o - 1])] for o in (o1, o2))
+        # r^2 (g2 u^2 + g1 u + g0) at the root, for the dot product g(u)
+        g2, g1, g0 = (adx * bdx + ady * bdy, ax * bdx + adx * bx + ay * bdy + ady * by,
+                      ax * bx + ay * by)
+        if _sign_sqrt(g2 * (p * p + q * q * d) + g1 * r * p + g0 * r * r,
+                      q * (2 * g2 * p + g1 * r), d) < 0:
+            break
+    else:
+        m, (o1, o2) = triple[2], triple[:2]
+    # det(o1, o2, m) is det(triple) times the sign of the permutation,
+    # which is odd exactly when m is the middle index of the triple
+    return (o1, o2, m) if (before if m != triple[1] else -before) > 0 else (o2, o1, m)
+
+
+def _time(t0, t1, root):
+    """t0 + u (t1 - t0) rounded to a float, from a rational within 2^-128
+    of the exact time (int / int rounds once)."""
+    p, q, d, r = root
+    (a0, b0), (a1, b1) = t0.as_integer_ratio(), t1.as_integer_ratio()
+    num, den = (p << 128) + q * math.isqrt(d << 256), r << 128
+    return (a0 * b1 * den + num * (a1 * b0 - a0 * b1)) / (b0 * b1 * den)
 
 
 def events_to_word(events, n):

@@ -66,10 +66,6 @@ class LaurentRing:
             _RING_CACHE["burau"] = cls(("t",))
         return _RING_CACHE["burau"]
 
-    @property
-    def nvars(self):
-        return len(self.names)
-
     def __eq__(self, other):
         return isinstance(other, LaurentRing) and self.names == other.names
 

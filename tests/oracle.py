@@ -9,9 +9,14 @@ otherwise.
 
 A reference polynomial is a plain dict {exponent tuple: nonzero int}, one
 tuple slot per ring variable in ring order, with no packing and no bound.
+
+The reference collinearity events work in Fractions throughout and
+isolate each root by bisection, where braidrep.collinearity scales to
+integers and compares roots in closed form.
 """
 
 from fractions import Fraction
+from itertools import combinations
 
 from braidrep.laurent import LaurentRing
 from braidrep.matrixrep import (
@@ -159,3 +164,74 @@ def laurent_str(names, a):
         else:
             parts.append(f"{coeff}*{factors}")
     return " + ".join(parts)
+
+
+def _at(path, t):
+    """Exact position at time t of a path of (t, x, y) Fraction triples."""
+    for (t0, x0, y0), (t1, x1, y1) in zip(path, path[1:]):
+        if t0 <= t <= t1:
+            u = (t - t0) / (t1 - t0)
+            return (x0 + u * (x1 - x0), y0 + u * (y1 - y0))
+    raise ValueError(f"time {t} outside the path")
+
+
+def _det(pa, pb, pc):
+    return (pb[0] - pa[0]) * (pc[1] - pa[1]) - (pb[1] - pa[1]) * (pc[0] - pa[0])
+
+
+def collinearity_events(paths):
+    """(time, emitted triple) of every collinearity event of the motion, in
+    time order, under the (O1, O2, M) convention of braidrep.collinearity.
+
+    On each interval between consecutive breakpoint times of any path the
+    orientation determinant f(u) of a triple is a quadratic in u; it is
+    rebuilt from f(0), f(1/2) and f(1), split at its vertex into monotone
+    pieces, and each sign change is bisected to a width of 2^-64.  Raises
+    ValueError where the reference cannot decide: a zero at a piece's end
+    or two roots whose brackets overlap."""
+    paths = [[tuple(Fraction(v) for v in bp) for bp in path] for path in paths]
+    times = sorted({bp[0] for path in paths for bp in path})
+    found = []
+    for t0, t1 in zip(times, times[1:]):
+        def points(u):
+            return [_at(path, t0 + u * (t1 - t0)) for path in paths]
+
+        samples = (points(Fraction(0)), points(Fraction(1, 2)), points(Fraction(1)))
+        for triple in combinations(range(len(paths)), 3):
+            f0, fh, f1 = (_det(*(pts[p] for p in triple)) for pts in samples)
+            a, b, c = 2 * f0 - 4 * fh + 2 * f1, -3 * f0 + 4 * fh - f1, f0
+
+            def f(u):
+                return (a * u + b) * u + c
+
+            cuts = [Fraction(0), Fraction(1)]
+            if a and 0 < -b / (2 * a) < 1:
+                cuts.insert(1, -b / (2 * a))
+            if not all(f(u) for u in cuts):
+                raise ValueError(f"determinant of {triple} is zero at a piece end")
+            for lo, hi in zip(cuts, cuts[1:]):
+                before = f(lo) > 0
+                if (f(hi) > 0) == before:
+                    continue
+                while hi - lo > Fraction(1, 2 ** 64):
+                    mid = (lo + hi) / 2
+                    lo, hi = (mid, hi) if (f(mid) > 0) == before else (lo, mid)
+                found.append((t0 + lo * (t1 - t0), t0 + hi * (t1 - t0), triple,
+                              points(lo)))
+    found.sort()
+    if any(e1[1] >= e2[0] for e1, e2 in zip(found, found[1:])):
+        raise ValueError("two events not told apart")
+    events = []
+    for lo, hi, triple, pts in found:
+        # the outer points are the farthest pair just before the root
+        o1, o2 = max(combinations(triple, 2), key=lambda pair: _dist2(
+            *(pts[p] for p in pair)))
+        m, = set(triple) - {o1, o2}
+        if _det(pts[o1], pts[o2], pts[m]) < 0:
+            o1, o2 = o2, o1
+        events.append((float((lo + hi) / 2), (o1 + 1, o2 + 1, m + 1)))
+    return events
+
+
+def _dist2(pa, pb):
+    return (pa[0] - pb[0]) ** 2 + (pa[1] - pb[1]) ** 2

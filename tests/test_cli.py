@@ -1,4 +1,5 @@
 import json
+import math
 import sys
 
 import pytest
@@ -377,6 +378,47 @@ def test_simulate_rejects_non_numeric_coordinate(capsys, tmp_path):
     code, out, err = run(capsys, "simulate", str(path))
     assert code == 2 and out == ""
     assert "malformed" in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "content",
+    [None, b'{"n": 3, "paths": [\xff]}', b"[" * 100000 + b"]" * 100000,
+     b'{"n": 3, "paths": [[[0, 1' + b"0" * 400 + b', 0]], [], []]}'],
+    ids=["directory", "not-utf-8", "nested", "huge-integer"],
+)
+def test_simulate_unreadable_file_is_one_line(capsys, tmp_path, content):
+    path = tmp_path
+    if content is not None:
+        path = tmp_path / "motion.json"
+        path.write_bytes(content)
+    code, out, err = run(capsys, "simulate", str(path))
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def resting_doc(points, intervals):
+    # points on the parabola y = x^2, so no three are ever collinear
+    times = [k / intervals for k in range(intervals + 1)]
+    return {"n": points,
+            "paths": [[[t, float(x), float(x * x)] for t in times] for x in range(points)]}
+
+
+def test_simulate_file_size_is_bounded(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "motion.json"
+    intervals = collinearity.MAX_TRIPLE_INTERVALS // math.comb(MAX_STRANDS, 3)
+    path.write_text(json.dumps(resting_doc(MAX_STRANDS, intervals)))
+    assert run(capsys, "simulate", str(path))[:2] == (0, '{"n": 32, "events": [], "word": []}\n')
+
+    def refuse(paths):
+        raise AssertionError("TrajectorySet was built")
+
+    monkeypatch.setattr(collinearity, "TrajectorySet", refuse)
+    for doc, text in [(resting_doc(MAX_STRANDS, intervals + 1), "triple-intervals"),
+                      (resting_doc(MAX_STRANDS + 1, 1), f"at most {MAX_STRANDS} points")]:
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "simulate", str(path))
+        assert (code, out) == (2, "")
+        assert text in err and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,15 @@
 import json
 import math
+import random
+from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+import oracle
+
 from braidrep.collinearity import (
-    CollinearityEvent,
+    SEGMENTS,
     DegenerateEventError,
     TrajectoryError,
     TrajectorySet,
@@ -17,6 +22,8 @@ from braidrep.collinearity import (
 )
 from braidrep.gn3 import GnWord, phi_generator
 from words import gn_word
+
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 
 def still_square():
@@ -35,19 +42,23 @@ def test_sigma_motion_moves_only_the_swapping_pair():
 
 def test_sigma_motion_swaps_the_pair():
     ts = sigma_motion(5, 2)
-    start2, end2 = ts.position(2, 0.0), ts.position(2, 1.0)
-    start3, end3 = ts.position(3, 0.0), ts.position(3, 1.0)
-    assert math.dist(end2, start3) < 1e-9
-    assert math.dist(end3, start2) < 1e-9
+    path2, path3 = ts.paths[1], ts.paths[2]
+    assert path2[-1][1:] == path3[0][1:]
+    assert path3[-1][1:] == path2[0][1:]
 
 
 def test_sigma_motion_keeps_points_separated():
+    # closest approach of every pair along each straight segment
     ts = sigma_motion(6, 3)
-    for t in ts.sample_times():
-        pts = [ts.position(p, t) for p in range(1, 7)]
-        for a in range(6):
-            for b in range(a + 1, 6):
-                assert math.dist(pts[a], pts[b]) > 1e-6
+    tracks = [path if len(path) > 2 else path[:1] * (SEGMENTS + 1) for path in ts.paths]
+    for a, b in combinations(tracks, 2):
+        for (_, ax, ay), (_, ax1, ay1), (_, bx, by), (_, bx1, by1) in zip(
+            a, a[1:], b, b[1:]
+        ):
+            x0, y0 = ax - bx, ay - by
+            dx, dy = ax1 - bx1 - x0, ay1 - by1 - y0
+            u = min(max(-(x0 * dx + y0 * dy) / (dx * dx + dy * dy), 0.0), 1.0) if dx or dy else 0.0
+            assert math.hypot(x0 + u * dx, y0 + u * dy) > 1e-6
 
 
 def test_sigma_motion_validates_arguments():
@@ -152,6 +163,18 @@ def test_tangency_raises_degenerate_event():
         detect_events(ts)
 
 
+def test_tangency_inside_an_interval_raises_degenerate_event():
+    # det(1, 2, 3) = (2u - 1)^2 / 4 on the first interval: points 1, 2, 3
+    # touch a line, at (0, 0), (1, 0) and (2, 0), without crossing it
+    paths = [
+        [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0)],
+        [(0.0, 1.0, -0.5), (0.5, 1.0, 0.5), (1.0, 1.0, -0.5)],
+        [(0.0, 2.5, -1.0), (0.5, 1.5, 1.0), (1.0, 2.5, -1.0)],
+    ]
+    with pytest.raises(DegenerateEventError, match="tangent"):
+        detect_events(TrajectorySet(paths))
+
+
 def test_coinciding_event_times_raise_degenerate_event():
     # two points cross the line of the static pair at the same moment
     paths = [
@@ -166,11 +189,6 @@ def test_coinciding_event_times_raise_degenerate_event():
     ts = TrajectorySet(paths)
     with pytest.raises(DegenerateEventError):
         detect_events(ts)
-
-
-def test_event_validation():
-    with pytest.raises(ValueError):
-        CollinearityEvent(0.5, (1, 1, 2))
 
 
 def test_save_load_round_trip(tmp_path):
@@ -227,3 +245,71 @@ def test_rejects_mismatched_boundary_sets():
     ]
     with pytest.raises(TrajectoryError, match="boundary"):
         TrajectorySet(paths)
+
+
+def test_double_crossing_inside_one_interval_is_found():
+    # point 3 crosses the line of points 1 and 2 twice within each
+    # breakpoint interval, so the determinant has equal signs at both ends
+    events = detect_events(load_trajectories(DEMOS / "double_crossing.json"))
+    assert [e.triple for e in events] == [(2, 3, 1), (3, 2, 1), (2, 3, 1), (3, 2, 1)]
+    assert [e.time for e in events] == [0.1, 0.2, 0.8, 0.9]
+
+
+def test_cross_and_return_swaps_the_outer_slots():
+    paths = [
+        [(0.0, -1.0, 0.0), (1.0, -1.0, 0.0)],
+        [(0.0, 1.0, 0.0), (1.0, 1.0, 0.0)],
+        [(0.0, 0.0, 1.0), (0.5, 0.0, -1.0), (1.0, 0.0, 1.0)],
+    ]
+    there, back = detect_events(TrajectorySet(paths))
+    assert (there.time, back.time) == (0.25, 0.75)
+    assert there.triple[2] == 3
+    assert back.triple == (there.triple[1], there.triple[0], 3)
+
+
+def test_collision_between_grid_times_is_refused():
+    # points 1 and 2 meet at t = 0.1, away from every breakpoint and
+    # interval midpoint (0, 0.25, 0.5, 0.75, 1)
+    paths = [
+        [(0.0, 0.0, 0.0), (0.5, 5.0, 0.0), (1.0, 0.0, 0.0)],
+        [(0.0, 1.0, 0.0), (1.0, 1.0, 0.0)],
+        [(0.0, 0.0, 3.0), (1.0, 0.0, 3.0)],
+    ]
+    with pytest.raises(TrajectoryError, match="points 1 and 2 coincide at time 0.100000"):
+        TrajectorySet(paths)
+
+
+def random_motion(rng, n, aligned):
+    """Coarse random jumps on a 2^-20 grid, ending on the start points in a
+    random order.  Aligned paths share their breakpoint times; otherwise
+    each path has its own, so most breakpoint times of the motion fall
+    inside another path's segment and are interpolated."""
+    def grid():
+        return round(rng.uniform(-2, 2) * 2 ** 20) / 2 ** 20
+
+    starts = [(grid(), grid()) for _ in range(n)]
+    shared = sorted(rng.random() for _ in range(rng.randint(1, 4)))
+    paths = []
+    for start, end in zip(starts, rng.sample(starts, n)):
+        # a point that moves away turns at least once, so that no two
+        # points swap along one straight segment and meet halfway
+        least = 0 if start == end else 1
+        inner = shared if aligned else sorted(
+            rng.random() for _ in range(rng.randint(least, 4)))
+        path = [(t, grid(), grid()) for t in inner]
+        paths.append([(0.0, *start)] + path + [(1.0, *end)])
+    return paths
+
+
+def test_events_match_the_fraction_reference_on_coarse_motions():
+    rng = random.Random(20261018)
+    total = 0
+    for trial in range(48):
+        n = 4 + trial % 3
+        paths = random_motion(rng, n, aligned=trial % 2 == 0)
+        events = detect_events(TrajectorySet(paths))
+        expected = oracle.collinearity_events(paths)
+        assert [e.triple for e in events] == [triple for _, triple in expected]
+        assert all(abs(e.time - t) < 1e-12 for e, (t, _) in zip(events, expected))
+        total += len(events)
+    assert total > 500

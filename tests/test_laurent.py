@@ -197,7 +197,7 @@ def test_packed_arithmetic_matches_tuple_reference(ring):
     # sums reach |e| = EXPONENT_LIMIT - 1, products of factors below half of
     # it reach EXPONENT_LIMIT - 2; b repeats some terms of a negated, and in
     # (a + b)(a - b) the cross terms cancel, so terms collide in every slot
-    rng = random.Random(4242 + ring.nvars)
+    rng = random.Random(4242 + len(ring.names))
     half = EXPONENT_LIMIT // 2 - 1
     for edge in (3, half, EXPONENT_LIMIT - 1):
         for _ in range(30):
