@@ -1,4 +1,5 @@
-"""Braid words in the Artin generators, and Bigelow's Burau-kernel braid.
+"""Words of +-1 letters, braid words in the Artin generators among them,
+and Bigelow's Burau-kernel braid.
 
 Words are plain letter sequences; no normal form, not even free reduction,
 is computed here.  Everything downstream evaluates words through
@@ -28,20 +29,72 @@ DEFAULT_COMMUTATOR_CONVENTION = COMMUTATOR_ABA_B
 MAX_LETTERS = 4096
 
 
-class BraidWord:
+class Word:
+    """A word of letters (generator, +-1) over n strands or indices.  A
+    subclass gives _generator(n, g), which checks a generator and returns
+    it normalised, and _text(g), its printed form; equality and products
+    stay within one subclass."""
+
     __slots__ = ("n", "letters")
 
     def __init__(self, n, letters=()):
         if n < 2:
             raise ValueError("strand count must be at least 2")
-        letters = tuple((int(i), int(e)) for i, e in letters)
-        for i, e in letters:
-            if not 1 <= i <= n - 1:
-                raise ValueError(f"generator index {i} out of range 1..{n - 1}")
+        generator = self._generator
+        clean = []
+        for g, e in letters:
+            g, e = generator(n, g), int(e)
             if e not in (1, -1):
                 raise ValueError(f"letter exponent must be +-1, got {e}")
+            clean.append((g, e))
         self.n = n
-        self.letters = letters
+        self.letters = tuple(clean)
+
+    def __mul__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        if other.n != self.n:
+            raise ValueError("words on different strand counts")
+        return type(self)(self.n, self.letters + other.letters)
+
+    def inverse(self):
+        return type(self)(self.n, [(g, -e) for g, e in reversed(self.letters)])
+
+    def __len__(self):
+        return len(self.letters)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and (self.n, self.letters) == (other.n, other.letters)
+
+    def __hash__(self):
+        return hash((self.n, self.letters))
+
+    def __str__(self):
+        if not self.letters:
+            return "<empty>"
+        return " ".join(
+            self._text(g) + ("" if e == 1 else "^-1") for g, e in self.letters
+        )
+
+    def __repr__(self):
+        return f"<{type(self).__name__} n={self.n} {self}>"
+
+
+class BraidWord(Word):
+    """A word in the Artin generators; letters are (i, +-1) for s_i."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _generator(n, i):
+        i = int(i)
+        if not 1 <= i <= n - 1:
+            raise ValueError(f"generator index {i} out of range 1..{n - 1}")
+        return i
+
+    @staticmethod
+    def _text(i):
+        return f"s{i}"
 
     @classmethod
     def parse(cls, text, n):
@@ -72,16 +125,6 @@ class BraidWord:
             letters.extend([(index, sign)] * abs(power))
         return cls(n, letters)
 
-    def __mul__(self, other):
-        if not isinstance(other, BraidWord):
-            return NotImplemented
-        if other.n != self.n:
-            raise ValueError("braid words on different strand counts")
-        return BraidWord(self.n, self.letters + other.letters)
-
-    def inverse(self):
-        return BraidWord(self.n, [(i, -e) for i, e in reversed(self.letters)])
-
     def permutation(self):
         """Image under the strand permutation map sigma_i -> (i i+1)."""
         perm = Permutation.identity(self.n)
@@ -89,36 +132,9 @@ class BraidWord:
             perm = perm * Permutation.transposition(self.n, i)
         return perm
 
-    def with_strands(self, n):
-        """The same letter sequence regarded on a larger strand count."""
-        return BraidWord(n, self.letters)
-
-    def __len__(self):
-        return len(self.letters)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BraidWord)
-            and self.n == other.n
-            and self.letters == other.letters
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.letters))
-
-    def __str__(self):
-        if not self.letters:
-            return "<empty>"
-        return " ".join(f"s{i}" if e == 1 else f"s{i}^-1" for i, e in self.letters)
-
-    def __repr__(self):
-        return f"<BraidWord n={self.n} {self}>"
-
 
 def commutator(a, b, convention=DEFAULT_COMMUTATOR_CONVENTION):
     """[a, b] under the chosen convention, as a raw (unreduced) word."""
-    if a.n != b.n:
-        raise ValueError("braid words on different strand counts")
     if convention == COMMUTATOR_ABA_B:
         return a * b * a.inverse() * b.inverse()
     if convention == COMMUTATOR_A_B_AB:
@@ -145,6 +161,4 @@ def bigelow_beta(n, convention=DEFAULT_COMMUTATOR_CONVENTION):
     x = psi1.inverse() * BraidWord.parse("s4", 5) * psi1
     y = psi2.inverse() * BraidWord.parse("s4 s3 s2 s1^2 s2 s3 s4", 5) * psi2
     beta = commutator(x, y, convention)
-    if n == 6:
-        return beta.with_strands(6)
-    return beta
+    return BraidWord(n, beta.letters)

@@ -11,7 +11,8 @@ commutator and product order in braids and matrixrep).  simulate finds
 events exactly.  simulate --sigma N I accepts 3 <= N <= 11
 (collinearity.MAX_SIGMA_POINTS): beyond that the swap motion's event word
 is not the generator image.  simulate FILE takes at most
-collinearity.MAX_POINTS points and MAX_TRIPLE_INTERVALS triple-intervals.
+collinearity.MAX_FILE_BYTES bytes, MAX_POINTS points and
+MAX_TRIPLE_INTERVALS triple-intervals, weighted by the size of their integers.
 """
 
 from __future__ import annotations
@@ -51,11 +52,17 @@ FAILURE = 1
 # phi, rep and burau (rep matrices are n(n-1) square; simulate --sigma
 # takes at most collinearity.MAX_SIGMA_POINTS),
 # the phi letters of an unspecialised rep and the text of a rational value
-# (Fraction builds 10**E for a decimal exponent E).
+# (Fraction builds 10**E for a decimal exponent E).  Specialised values grow
+# by about their bits (numerator plus denominator) per phi letter or power of
+# t, so rep takes at most MAX_REP_BIT_WORK phi letters times the largest
+# value's bits, and burau --set-t MAX_BURAU_BIT_WORK of the largest |exponent|
+# of t in the matrix times the bits of t.
 MAX_STRANDS = 32
 MAX_SYMBOLIC_LETTERS = 60
 MAX_RATIONAL_TEXT = 1000
 MAX_DECIMAL_EXPONENT = 10000
+MAX_REP_BIT_WORK = 2 ** 18
+MAX_BURAU_BIT_WORK = 20_000
 
 
 class CliError(Exception):
@@ -162,6 +169,13 @@ def _assignment(args, n):
         raise CliError(message, USAGE_ERROR)
 
 
+def _check_bit_work(count, what, values, bound):
+    bits = max(v.numerator.bit_length() + v.denominator.bit_length() for v in values)
+    if count * bits > bound:
+        raise CliError(f"{count} {what} times {bits} value bits is over {bound}; "
+                       "give smaller values", USAGE_ERROR)
+
+
 def _printable(render, *args):
     """render(*args), the one step that turns result values into text."""
     try:
@@ -198,6 +212,7 @@ def cmd_rep(args):
     except NotPureError as exc:
         raise CliError(str(exc), FAILURE)
     if assignment is not None:
+        _check_bit_work(len(word), "phi letters", assignment.values(), MAX_REP_BIT_WORK)
         matrix = numeric_rep_of_word(word, assignment)
     elif len(word) > MAX_SYMBOLIC_LETTERS:
         raise CliError(f"symbolic product over {MAX_SYMBOLIC_LETTERS} phi letters; "
@@ -228,6 +243,10 @@ def cmd_burau(args):
         value = _parse_rational(args.set_t)
         if value == 0:
             raise CliError("t is a unit; zero is not allowed", USAGE_ERROR)
+        # a Burau term's key is its exponent of t
+        degree = max((abs(e) for row in matrix.rows.values() for v in row.values()
+                      for e in v.terms), default=0)
+        _check_bit_work(degree, "powers of t", [value], MAX_BURAU_BIT_WORK)
         matrix = matrix.specialize({"t": value})
     return _printable(matrix.to_json, basis, args.n)
 

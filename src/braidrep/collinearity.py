@@ -36,10 +36,17 @@ from .gn3 import GnWord, phi_generator
 # most points whose swap-motion word at that count is the generator image.
 SEGMENTS = 256
 MAX_SIGMA_POINTS = 11
-# Bounds on a trajectory file, checked before its TrajectorySet is built: its
-# points, and its quadratics, one per point triple and interval (seconds at most).
+# Bounds on a trajectory file, checked before it is parsed: its bytes (at the
+# cap, parsing peaks near 70 MB); and before its TrajectorySet is built: its
+# points, and its quadratics, one per point triple and interval.
+MAX_FILE_BYTES = 2 ** 21
 MAX_POINTS = 32
 MAX_TRIPLE_INTERVALS = 2 ** 16
+# The exact arithmetic grows with the integers of an interval, so every
+# TrajectorySet counts a triple-interval whose integers need B bits
+# ceil(B / INTERVAL_BITS)^2 times against MAX_TRIPLE_INTERVALS, before any
+# determinant is formed: under 10 s per admitted file.
+INTERVAL_BITS = 112
 
 
 class TrajectoryError(ValueError):
@@ -84,6 +91,18 @@ class TrajectorySet:
             ratios = [v.as_integer_ratio() for point in points for v in point]
             scale = math.lcm(*(den for _, den in ratios))
             self._scaled.append((scale, [num * (scale // den) for num, den in ratios]))
+        # bits of an interval's integers: at most those of a coordinate times
+        # its factor (see segments), plus one for the difference
+        tops = [(scale, max(map(abs, coords)).bit_length()) for scale, coords in self._scaled]
+        weights = 0
+        for (s0, b0), (s1, b1) in zip(tops, tops[1:]):
+            lcm = math.lcm(s0, s1)
+            bits = 1 + max(b0 + (lcm // s0).bit_length(), b1 + (lcm // s1).bit_length())
+            weights += math.ceil(bits / INTERVAL_BITS) ** 2
+        work = math.comb(self.n, 3) * weights
+        if work > MAX_TRIPLE_INTERVALS:
+            raise TrajectoryError(f"{work} triple-intervals weighted by integer size, "
+                                  f"over {MAX_TRIPLE_INTERVALS}")
         ends = [sorted((Fraction(x), Fraction(y)) for _, x, y in (p[k] for p in self.paths))
                 for k in (0, -1)]
         if ends[0] != ends[1]:
@@ -127,11 +146,14 @@ class TrajectorySet:
 
 
 def load_trajectories(path):
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except (ValueError, RecursionError) as exc:    # not JSON or UTF-8, too deep
-            raise TrajectoryError(f"not valid JSON: {exc}") from exc
+    with open(path, "rb") as fh:
+        raw = fh.read(MAX_FILE_BYTES + 1)
+    if len(raw) > MAX_FILE_BYTES:
+        raise TrajectoryError(f"file larger than {MAX_FILE_BYTES} bytes")
+    try:
+        data = json.loads(raw.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:    # not JSON or UTF-8, too deep
+        raise TrajectoryError(f"not valid JSON: {exc}") from exc
     return trajectories_from_json(data)
 
 

@@ -11,6 +11,7 @@ questions are delegated to the matrix representation (matrixrep.py).
 
 from __future__ import annotations
 
+from .braids import Word
 from .permutations import Permutation
 
 
@@ -18,46 +19,27 @@ class NotPureError(ValueError):
     """The braid has a nontrivial strand permutation."""
 
 
-def _check_triple(n, triple):
-    i, j, k = triple
-    if len({i, j, k}) != 3:
-        raise ValueError(f"indices of a generator must be pairwise distinct: {triple}")
-    for v in triple:
-        if not 1 <= v <= n:
-            raise ValueError(f"generator index {v} out of range 1..{n}")
-    return (i, j, k)
-
-
-class GnWord:
+class GnWord(Word):
     """A word in the generators a(i,j,k); letters are ((i,j,k), +-1)."""
 
-    __slots__ = ("n", "letters")
+    __slots__ = ()
 
-    def __init__(self, n, letters=()):
-        if n < 2:
-            raise ValueError("index range must have at least 2 points")
-        clean = []
-        for triple, e in letters:
-            triple = _check_triple(n, tuple(int(v) for v in triple))
-            e = int(e)
-            if e not in (1, -1):
-                raise ValueError(f"letter exponent must be +-1, got {e}")
-            clean.append((triple, e))
-        self.n = n
-        self.letters = tuple(clean)
+    @staticmethod
+    def _generator(n, triple):
+        i, j, k = triple = tuple(int(v) for v in triple)
+        if len({i, j, k}) != 3:
+            raise ValueError(f"indices of a generator must be pairwise distinct: {triple}")
+        for v in triple:
+            if not 1 <= v <= n:
+                raise ValueError(f"generator index {v} out of range 1..{n}")
+        return triple
+
+    @staticmethod
+    def _text(triple):
+        return "a({},{},{})".format(*triple)
 
     def to_json(self):
         return [[i, j, k, e] for (i, j, k), e in self.letters]
-
-    def __mul__(self, other):
-        if not isinstance(other, GnWord):
-            return NotImplemented
-        if other.n != self.n:
-            raise ValueError("words on different index ranges")
-        return GnWord(self.n, self.letters + other.letters)
-
-    def inverse(self):
-        return GnWord(self.n, [(t, -e) for t, e in reversed(self.letters)])
 
     def free_reduce(self):
         """Cancel x x^-1 where the inverse is either the explicit inverse
@@ -78,37 +60,7 @@ class GnWord:
         """Renumber every index through tau, preserving letter order."""
         if tau.n != self.n:
             raise ValueError("permutation size does not match word")
-        return GnWord(
-            self.n,
-            [
-                ((tau(i), tau(j), tau(k)), e)
-                for (i, j, k), e in self.letters
-            ],
-        )
-
-    def __len__(self):
-        return len(self.letters)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GnWord)
-            and self.n == other.n
-            and self.letters == other.letters
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.letters))
-
-    def __str__(self):
-        if not self.letters:
-            return "<empty>"
-        return " ".join(
-            f"a({i},{j},{k})" + ("" if e == 1 else "^-1")
-            for (i, j, k), e in self.letters
-        )
-
-    def __repr__(self):
-        return f"<GnWord n={self.n} {self}>"
+        return GnWord(self.n, [((tau(i), tau(j), tau(k)), e) for (i, j, k), e in self.letters])
 
 
 class SemidirectElement:

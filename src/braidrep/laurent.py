@@ -23,12 +23,11 @@ Values are immutable after construction and safe to share.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 SLOT_BITS = 16
 EXPONENT_LIMIT = 1 << (SLOT_BITS - 1)
 _SLOT_MASK = (1 << SLOT_BITS) - 1
-
-_RING_CACHE = {}
 
 
 class LaurentRing:
@@ -47,30 +46,19 @@ class LaurentRing:
         self._bias = sum(EXPONENT_LIMIT << shift for shift in self._shifts)
 
     @classmethod
+    @cache
     def for_strands(cls, n):
-        """The ring in variables t1..tn, s1..sn used by the n-strand representation."""
+        """The ring in variables t1..tn, s1..sn used by the n-strand
+        representation; one object per n, so rings compare by identity."""
         if n < 1:
             raise ValueError("strand count must be positive")
-        key = ("strands", n)
-        if key not in _RING_CACHE:
-            names = tuple(f"t{i}" for i in range(1, n + 1)) + tuple(
-                f"s{i}" for i in range(1, n + 1)
-            )
-            _RING_CACHE[key] = cls(names)
-        return _RING_CACHE[key]
+        return cls([f"t{i}" for i in range(1, n + 1)] + [f"s{i}" for i in range(1, n + 1)])
 
     @classmethod
+    @cache
     def burau(cls):
         """The one-variable ring Z[t, t^-1]."""
-        if "burau" not in _RING_CACHE:
-            _RING_CACHE["burau"] = cls(("t",))
-        return _RING_CACHE["burau"]
-
-    def __eq__(self, other):
-        return isinstance(other, LaurentRing) and self.names == other.names
-
-    def __hash__(self):
-        return hash(self.names)
+        return cls(("t",))
 
     def __repr__(self):
         return f"LaurentRing({', '.join(self.names)})"
@@ -121,7 +109,7 @@ class LaurentPoly:
 
     def _check(self, other):
         if isinstance(other, LaurentPoly):
-            if other.ring is self.ring or other.ring == self.ring:
+            if other.ring is self.ring:
                 return other
             raise ValueError("polynomials belong to different rings")
         if isinstance(other, int):
@@ -191,7 +179,7 @@ class LaurentPoly:
             other = self.ring.constant(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
+        return self.ring is other.ring and self.terms == other.terms
 
     def __hash__(self):
         return hash((self.ring, frozenset(self.terms.items())))

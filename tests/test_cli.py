@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import sys
 
 import pytest
@@ -12,6 +13,7 @@ from braidrep.cli import (
     MAX_STRANDS,
     main,
 )
+from braidrep.matrixrep import PolyMatrix
 
 
 def run(capsys, *argv):
@@ -104,12 +106,14 @@ def test_rep_symbolic_output_for_short_braids(capsys):
 
 
 def test_burau_reduced_of_kernel_braid_is_identity(capsys):
-    code, out, _ = run(capsys, "burau", "--n", "5", "--reduced", "--bigelow")
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["dim"] == 4
-    assert len(doc["entries"]) == 4
-    assert all(e["row"] == e["col"] and e["value"] == "1" for e in doc["entries"])
+    # the identity holds no power of t, so no value of t is too large for it
+    for value in ([], ["--set-t", "1e10000"]):
+        code, out, _ = run(capsys, "burau", "--n", "5", "--reduced", "--bigelow", *value)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["dim"] == 4
+        assert len(doc["entries"]) == 4
+        assert all(e["row"] == e["col"] and e["value"] == "1" for e in doc["entries"])
 
 
 def test_burau_of_empty_braid(capsys):
@@ -420,6 +424,51 @@ def test_simulate_file_size_is_bounded(capsys, tmp_path, monkeypatch):
         assert (code, out) == (2, "")
         assert text in err and len(err.splitlines()) == 1
 
+    # the bytes are bounded before the file is parsed
+    monkeypatch.undo()
+    path.write_text(json.dumps(resting_doc(3, 1)))
+    size = path.stat().st_size
+    monkeypatch.setattr(collinearity, "MAX_FILE_BYTES", size)
+    assert run(capsys, "simulate", str(path))[0] == 0
+    monkeypatch.setattr(collinearity, "MAX_FILE_BYTES", size - 1)
+    monkeypatch.setattr(collinearity, "json", None)
+    code, out, err = run(capsys, "simulate", str(path))
+    assert (code, out) == (2, "")
+    assert f"larger than {size - 1} bytes" in err and len(err.splitlines()) == 1
+
+
+def test_simulate_work_counts_integer_size(capsys, tmp_path, monkeypatch):
+    # three resting points whose integers over the common scale 2^100 are
+    # 2^300, 1 and 2^100: 301 bits, counted as at most 303 (a factor of 1
+    # and a difference), so the one triple-interval weighs 3^2
+    weight = math.ceil(303 / collinearity.INTERVAL_BITS) ** 2
+    assert weight == 9
+    points = [(2.0 ** 200, 0.0), (0.0, 2.0 ** -100), (1.0, 1.0)]
+    path = tmp_path / "motion.json"
+    path.write_text(json.dumps({"n": 3, "paths": [[[0, x, y], [1, x, y]] for x, y in points]}))
+    monkeypatch.setattr(collinearity, "MAX_TRIPLE_INTERVALS", weight)
+    assert run(capsys, "simulate", str(path))[:2] == (0, '{"n": 3, "events": [], "word": []}\n')
+    monkeypatch.setattr(collinearity, "MAX_TRIPLE_INTERVALS", weight - 1)
+    code, out, err = run(capsys, "simulate", str(path))
+    assert (code, out) == (2, "")
+    assert f"{weight} triple-intervals weighted" in err and len(err.splitlines()) == 1
+
+
+def test_simulate_refuses_coordinates_of_mixed_magnitude(capsys, tmp_path):
+    # 32 moving points, 13 shared intervals (inside the unweighted count),
+    # each point at scale 2^-300, 1 or 2^300: minutes of exact arithmetic
+    rng = random.Random(5)
+    paths = []
+    for _ in range(32):
+        scale = 2.0 ** rng.choice((-300, 0, 300))
+        coords = [[rng.uniform(-2, 2) * scale for _ in range(2)] for _ in range(13)]
+        paths.append([[k / 13, *xy] for k, xy in enumerate(coords)] + [[1.0, *coords[0]]])
+    path = tmp_path / "motion.json"
+    path.write_text(json.dumps({"n": 32, "paths": paths}))
+    code, out, err = run(capsys, "simulate", str(path))
+    assert (code, out) == (2, "")
+    assert "weighted by integer size" in err and len(err.splitlines()) == 1
+
 
 @pytest.mark.parametrize(
     "value",
@@ -443,6 +492,46 @@ def test_rational_input_is_bounded_before_it_is_built(capsys, monkeypatch, argv,
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1
     assert str(MAX_DECIMAL_EXPONENT) in err or str(MAX_RATIONAL_TEXT) in err
+
+
+# s1^2 on three strands: two phi letters, and t^2 in its Burau matrix; a
+# value of 1e30 has 100 + 1 bits
+@pytest.mark.parametrize(
+    "argv, bound",
+    [(("rep", "--n", "3", "s1^2", "--set", "t1=1e30", "--set-rest", "1"), "MAX_REP_BIT_WORK"),
+     (("rep", "--n", "3", "s1^2", "--set-rest=-1e-30"), "MAX_REP_BIT_WORK"),
+     (("burau", "--n", "3", "s1^2", "--set-t", "1e30"), "MAX_BURAU_BIT_WORK"),
+     (("burau", "--n", "3", "s1^-2", "--reduced", "--set-t", "1e-30"), "MAX_BURAU_BIT_WORK")],
+    ids=["rep-set", "rep-set-rest", "burau", "burau-inverse-reduced"],
+)
+def test_specialised_work_is_bounded(capsys, monkeypatch, argv, bound):
+    monkeypatch.setattr(cli, bound, 2 * 101)
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and out and err == ""
+    monkeypatch.setattr(cli, bound, 2 * 101 - 1)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "over 201" in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, owner, step",
+    [(("rep", "--n", "5", "--bigelow", "--set", "t1=1e10000", "--set-rest", "1",
+       "--entry", "x_1_2", "x_1_2"), cli, "numeric_rep_of_word"),
+     (("burau", "--n", "5", " ".join(["s1 s2 s3 s4"] * 50), "--set-t", "1e1000"),
+      PolyMatrix, "specialize")],
+    ids=["rep", "burau"],
+)
+def test_large_values_are_refused_before_the_numeric_work(capsys, monkeypatch, argv,
+                                                          owner, step):
+    def refuse(*args):
+        raise AssertionError(f"{step} ran")
+
+    monkeypatch.setattr(owner, step, refuse)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "give smaller values" in err and len(err.splitlines()) == 1
 
 
 @pytest.mark.skipif(

@@ -9,6 +9,7 @@ import pytest
 import oracle
 
 from braidrep.collinearity import (
+    MAX_SIGMA_POINTS,
     SEGMENTS,
     DegenerateEventError,
     TrajectoryError,
@@ -192,12 +193,16 @@ def test_coinciding_event_times_raise_degenerate_event():
 
 
 def test_save_load_round_trip(tmp_path):
-    ts = sigma_motion(4, 2)
+    # every swap motion stays inside the file bounds; their coordinates go
+    # down to about 6e-17
     path = tmp_path / "motion.json"
-    path.write_text(json.dumps({"n": ts.n, "paths": ts.paths}))
-    loaded = load_trajectories(path)
-    assert loaded.n == ts.n
-    assert loaded.paths == ts.paths
+    for n in range(3, MAX_SIGMA_POINTS + 1):
+        for i in range(1, n):
+            ts = sigma_motion(n, i)
+            path.write_text(json.dumps({"n": ts.n, "paths": ts.paths}))
+            loaded = load_trajectories(path)
+            assert loaded.n == ts.n
+            assert loaded.paths == ts.paths
 
 
 def test_load_rejects_malformed_documents(tmp_path):

@@ -42,6 +42,16 @@ def test_letter_validation():
         GnWord(4, [((1, 2, 5), 1)])
 
 
+def test_braid_and_gn_words_do_not_mix():
+    # equal n and equal (empty) letters: only the word kind differs
+    braid, word = BraidWord(4), GnWord(4)
+    assert braid != word and word != braid
+    with pytest.raises(TypeError):
+        braid * word
+    with pytest.raises(TypeError):
+        word * braid
+
+
 def test_free_reduce_explicit_inverse():
     w = GnWord(4, [((1, 2, 3), 1), ((1, 2, 3), -1)])
     assert w.free_reduce().letters == ()

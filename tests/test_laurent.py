@@ -133,6 +133,9 @@ def test_eval_is_a_ring_homomorphism():
 
 
 def test_ring_mismatch_is_an_error():
+    # one ring object per variable set: polynomials compare rings by identity
+    assert LaurentRing.for_strands(5) is R5
+    assert LaurentRing.burau() is LaurentRing.burau()
     other = LaurentRing.for_strands(4)
     with pytest.raises(ValueError, match="different rings"):
         R5.var("t1") + other.var("t1")
