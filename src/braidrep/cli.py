@@ -8,11 +8,18 @@ spelled in full; argparse's abbreviations are turned off.
 
 The command line uses the library's calibrated conventions only (the
 commutator and product order in braids and matrixrep).  simulate finds
-events exactly.  simulate --sigma N I accepts 3 <= N <= 11
-(collinearity.MAX_SIGMA_POINTS): beyond that the swap motion's event word
-is not the generator image.  simulate FILE takes at most
-collinearity.MAX_FILE_BYTES bytes, MAX_POINTS points and
-MAX_TRIPLE_INTERVALS triple-intervals, weighted by the size of their integers.
+events exactly.
+
+Input bounds, checked before anything is allocated: the strand count of phi,
+rep and burau (rep matrices are n(n-1) square), the text of a rational value
+(Fraction builds 10**E for a decimal exponent E), simulate --sigma N I with
+3 <= N <= 11 (collinearity.MAX_SIGMA_POINTS: beyond that the swap motion's
+event word is not the generator image), and simulate FILE with at most
+collinearity.MAX_FILE_BYTES bytes, MAX_POINTS points and MAX_TRIPLE_INTERVALS
+triple-intervals, weighted by the size of their integers.  The products and
+specialisations meter their own work against matrixrep.WORK_BUDGET; past it,
+or past a Laurent exponent slot (laurent.EXPONENT_LIMIT), the command exits 2
+with one line.
 """
 
 from __future__ import annotations
@@ -48,21 +55,9 @@ from .matrixrep import (
 USAGE_ERROR = 2
 FAILURE = 1
 
-# Input bounds, checked before anything is allocated: the strand count of
-# phi, rep and burau (rep matrices are n(n-1) square; simulate --sigma
-# takes at most collinearity.MAX_SIGMA_POINTS),
-# the phi letters of an unspecialised rep and the text of a rational value
-# (Fraction builds 10**E for a decimal exponent E).  Specialised values grow
-# by about their bits (numerator plus denominator) per phi letter or power of
-# t, so rep takes at most MAX_REP_BIT_WORK phi letters times the largest
-# value's bits, and burau --set-t MAX_BURAU_BIT_WORK of the largest |exponent|
-# of t in the matrix times the bits of t.
 MAX_STRANDS = 32
-MAX_SYMBOLIC_LETTERS = 60
 MAX_RATIONAL_TEXT = 1000
 MAX_DECIMAL_EXPONENT = 10000
-MAX_REP_BIT_WORK = 2 ** 18
-MAX_BURAU_BIT_WORK = 20_000
 
 
 class CliError(Exception):
@@ -157,7 +152,10 @@ def _assignment(args, n):
         if "=" not in item:
             raise CliError(f"--set expects VAR=VALUE, got {item!r}", USAGE_ERROR)
         name, _, value = item.partition("=")
-        explicit[name.strip()] = _parse_rational(value.strip())
+        name = name.strip()
+        if name in explicit:
+            raise CliError(f"--set gives {name!r} more than once", USAGE_ERROR)
+        explicit[name] = _parse_rational(value.strip())
     if not explicit and args.set_rest is None:
         return None
     rest = _parse_rational(args.set_rest) if args.set_rest is not None else None
@@ -167,13 +165,6 @@ def _assignment(args, n):
         # the library names the missing variables; --set-rest assigns them
         message = str(exc).replace("unassigned:", "unassigned (add --set-rest):")
         raise CliError(message, USAGE_ERROR)
-
-
-def _check_bit_work(count, what, values, bound):
-    bits = max(v.numerator.bit_length() + v.denominator.bit_length() for v in values)
-    if count * bits > bound:
-        raise CliError(f"{count} {what} times {bits} value bits is over {bound}; "
-                       "give smaller values", USAGE_ERROR)
 
 
 def _printable(render, *args):
@@ -211,14 +202,7 @@ def cmd_rep(args):
         word = phi_pure(braid)
     except NotPureError as exc:
         raise CliError(str(exc), FAILURE)
-    if assignment is not None:
-        _check_bit_work(len(word), "phi letters", assignment.values(), MAX_REP_BIT_WORK)
-        matrix = numeric_rep_of_word(word, assignment)
-    elif len(word) > MAX_SYMBOLIC_LETTERS:
-        raise CliError(f"symbolic product over {MAX_SYMBOLIC_LETTERS} phi letters; "
-                       "specialise with --set/--set-rest", USAGE_ERROR)
-    else:
-        matrix = rep_of_word(word)
+    matrix = rep_of_word(word) if assignment is None else numeric_rep_of_word(word, assignment)
     basis = [f"x_{p}_{q}" for p, q in basis_pairs(args.n)]
     if args.entry:
         for name in args.entry:
@@ -243,10 +227,6 @@ def cmd_burau(args):
         value = _parse_rational(args.set_t)
         if value == 0:
             raise CliError("t is a unit; zero is not allowed", USAGE_ERROR)
-        # a Burau term's key is its exponent of t
-        degree = max((abs(e) for row in matrix.rows.values() for v in row.values()
-                      for e in v.terms), default=0)
-        _check_bit_work(degree, "powers of t", [value], MAX_BURAU_BIT_WORK)
         matrix = matrix.specialize({"t": value})
     return _printable(matrix.to_json, basis, args.n)
 
@@ -341,6 +321,9 @@ def main(argv=None):
     except CliError as exc:
         print(str(exc), file=sys.stderr)
         return exc.code
+    except OverflowError as exc:    # past matrixrep.WORK_BUDGET or a Laurent exponent slot
+        print(str(exc), file=sys.stderr)
+        return USAGE_ERROR
     code = 0
     if isinstance(result, tuple):
         result, code = result

@@ -92,6 +92,12 @@ class LaurentRing:
     def var(self, name, power=1):
         return self.monomial(1, {name: power})
 
+    def exponent_sums(self, keys):
+        """For each variable in ring order, its |exponent| summed over the keys."""
+        keys = [key + self._bias for key in keys]
+        return [sum(abs(((key >> shift) & _SLOT_MASK) - EXPONENT_LIMIT) for key in keys)
+                for shift in self._shifts]
+
 
 class LaurentPoly:
     """Immutable sparse Laurent polynomial; use ring factories to construct.

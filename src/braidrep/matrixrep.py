@@ -43,6 +43,22 @@ PRODUCT_WORD_ORDER = "word"          # word u v  ->  M(u) . M(v)
 PRODUCT_REVERSED_ORDER = "reversed"  # word u v  ->  M(v) . M(u)
 DEFAULT_PRODUCT_ORDER = PRODUCT_WORD_ORDER
 
+# A work unit is a Laurent term or a number that a folded letter writes, or a
+# bit of a specialised term.  Bigelow's braid folds symbolically in 1.2e6
+# units at n = 6; the budget stops any fold or specialisation within seconds.
+WORK_BUDGET = 2 ** 23
+METER_INTERVAL = 16     # non-identity letters between two charges of a fold
+
+
+class WorkBudgetError(OverflowError):
+    """A fold or a specialisation would pass WORK_BUDGET."""
+
+
+def _spend(work, what):
+    if work > WORK_BUDGET:
+        raise WorkBudgetError(f"{what} passes the work budget of {WORK_BUDGET} units "
+                              "(matrixrep.WORK_BUDGET); give a shorter braid or smaller values")
+
 
 def basis_pairs(n):
     """Ordered pairs (p, q), p != q, in lexicographic order; (1,2) first."""
@@ -108,7 +124,16 @@ class PolyMatrix:
 
     def specialize(self, assignment):
         """Every LaurentPoly entry evaluated at the assignment, in exact
-        Fractions; entries that evaluate to 0 are dropped."""
+        Fractions; entries that evaluate to 0 are dropped.  Before anything is
+        evaluated it charges the bits of the result: over every variable of
+        every term, |exponent| times the bits of the variable's value."""
+        entries = [v for row in self.rows.values() for v in row.values()]
+        if entries:
+            ring = entries[0].ring
+            points = [Fraction(assignment.get(name, 1)) for name in ring.names]
+            sums = ring.exponent_sums(key for v in entries for key in v.terms)
+            _spend(sum(s * (x.numerator.bit_length() + x.denominator.bit_length())
+                       for s, x in zip(sums, points)), "specialising")
         rows = {}
         for r, row in self.rows.items():
             values = {c: v.eval(assignment) for c, v in row.items()}
@@ -164,14 +189,34 @@ def _combine(lines, terms):
     return out
 
 
-def _fold(dim, one, letters, ops):
+def _terms(line):
+    return sum(len(v.terms) for v in line.values())
+
+
+def _fraction_size(line):
+    """Entries, and b*b >> 17 more for each Fraction of b bits: its arithmetic
+    is about quadratic in b."""
+    return len(line) + (sum((v.numerator.bit_length() + v.denominator.bit_length()) ** 2
+                            for v in line.values()) >> 17)
+
+
+def _fold(dim, one, letters, ops, size=_terms):
     """Lines of the product of the letters, from the identity on.  ops(letter)
-    gives the letter's rewrites; each new line is read from the old lines."""
+    gives the letter's rewrites; each new line is read from the old lines.
+    A letter's work is about the size of the lines it writes, and an identity
+    letter writes none: every METER_INTERVAL-th letter that writes lines is
+    measured and charged for the METER_INTERVAL such letters up to it."""
     lines = [{r: one} for r in range(dim)]
+    work = written = 0
     for letter in letters:
         new = [(target, _combine(lines, terms)) for target, terms in ops(letter)]
-        for target, line in new:
-            lines[target] = line
+        if new:
+            for target, line in new:
+                lines[target] = line
+            written += 1
+            if not written % METER_INTERVAL:
+                work += METER_INTERVAL * sum(size(line) for _, line in new)
+                _spend(work, f"the product of {written} non-identity letters")
     return lines
 
 
@@ -196,13 +241,13 @@ def _gn_ops(n, scalar, one):
     return ops
 
 
-def _word_lines(word, scalar, one, order):
+def _word_lines(word, scalar, one, order, size=_terms):
     """Columns of the word's matrix under the product order."""
     if order not in (PRODUCT_WORD_ORDER, PRODUCT_REVERSED_ORDER):
         raise ValueError(f"unknown product order {order!r}")
     letters = word.letters if order == PRODUCT_WORD_ORDER else word.letters[::-1]
     triples = (t if e == 1 else t[::-1] for t, e in letters)
-    return _fold(word.n * (word.n - 1), one, triples, _gn_ops(word.n, scalar, one))
+    return _fold(word.n * (word.n - 1), one, triples, _gn_ops(word.n, scalar, one), size)
 
 
 def _rows(lines):
@@ -237,10 +282,10 @@ def numeric_rep_of_word(word, assignment, order=None):
     order = order or DEFAULT_PRODUCT_ORDER
     assignment = strand_assignment(word.n, assignment, rest=None)
     if all(abs(v) == 1 for v in assignment.values()):
-        scalars = {name: (int(v), int(v)) for name, v in assignment.items()}
+        scalars, size = {name: (int(v), int(v)) for name, v in assignment.items()}, len
     else:
-        scalars = {name: (v, 1 / v) for name, v in assignment.items()}
-    lines = _word_lines(word, scalars.__getitem__, 1, order)
+        scalars, size = {name: (v, 1 / v) for name, v in assignment.items()}, _fraction_size
+    lines = _word_lines(word, scalars.__getitem__, 1, order, size)
     return PolyMatrix(len(lines), _rows(lines), word.n)
 
 

@@ -2,18 +2,29 @@ import json
 import math
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 
-from braidrep import cli, collinearity
-from braidrep.braids import MAX_LETTERS
+from braidrep import cli, collinearity, matrixrep
+from braidrep.braids import MAX_LETTERS, BraidWord, bigelow_beta
 from braidrep.cli import (
     MAX_DECIMAL_EXPONENT,
     MAX_RATIONAL_TEXT,
     MAX_STRANDS,
     main,
 )
-from braidrep.matrixrep import PolyMatrix
+from braidrep.gn3 import GnWord, phi_pure
+from braidrep.laurent import LaurentPoly
+from braidrep.matrixrep import (
+    METER_INTERVAL,
+    basis_index,
+    burau_reduced,
+    burau_unreduced,
+    numeric_rep_of_word,
+    rep_of_word,
+    strand_assignment,
+)
 
 
 def run(capsys, *argv):
@@ -87,12 +98,94 @@ def test_rep_rejects_zero_assignment(capsys):
     assert code == 2
 
 
-def test_rep_symbolic_guard_for_long_braids(capsys):
-    # a hard bound: no option lifts it, the way out is to specialise
-    code, _, err = run(capsys, "rep", "--n", "5", "--bigelow")
-    assert code == 2
-    assert "--set-rest" in err
-    assert "--symbolic" not in err
+# Reference for the fold's work meter.  A line's size is its Laurent terms,
+# or for numbers its entries plus the sum of b*b >> 17 over entries of b bits.
+# Every METER_INTERVAL-th letter that writes lines is charged METER_INTERVAL
+# times the size of the lines it writes.  a(i,j,k) writes x_ij unless t_i = 1,
+# x_kj unless t_k = 1, and x_jk and x_ji unless s_j = 1; symbolically it
+# writes all four.
+
+def terms_size(values):
+    return sum(len(v.terms) for v in values)
+
+
+def number_size(values):
+    values = [Fraction(v) for v in values]
+    return len(values) + (sum((v.numerator.bit_length() + v.denominator.bit_length()) ** 2
+                              for v in values) >> 17)
+
+
+def written_by(letter, assignment):
+    (i, j, k), e = letter
+    if e == -1:
+        i, k = k, i
+    rewrites = [((i, j), f"t{i}"), ((k, j), f"t{k}"), ((j, k), f"s{j}"), ((j, i), f"s{j}")]
+    return [pair for pair, name in rewrites if assignment is None or assignment[name] != 1]
+
+
+def first_charge(word, assignment=None):
+    """The work of the meter's first charge on the fold of a phi word."""
+    writers = [m for m in range(1, len(word) + 1) if written_by(word.letters[m - 1], assignment)]
+    count = writers[METER_INTERVAL - 1]
+    prefix = GnWord(word.n, word.letters[:count])
+    with pytest.MonkeyPatch.context() as unmetered:
+        unmetered.setattr(matrixrep, "WORK_BUDGET", math.inf)
+        if assignment is None:
+            matrix, size = rep_of_word(prefix), terms_size
+        else:
+            matrix, size = numeric_rep_of_word(prefix, assignment), number_size
+    index = basis_index(word.n)
+    columns = [[row[index[pair]] for row in matrix.rows.values() if index[pair] in row]
+               for pair in written_by(word.letters[count - 1], assignment)]
+    return METER_INTERVAL * sum(map(size, columns))
+
+
+def test_rep_symbolic_guard_for_long_braids(capsys, monkeypatch):
+    # no option lifts the budget; the way out is a shorter braid or values
+    braid = f"s1^{METER_INTERVAL}"
+    work = first_charge(phi_pure(BraidWord.parse(braid, 3)))
+    monkeypatch.setattr(matrixrep, "WORK_BUDGET", work)
+    code, out, err = run(capsys, "rep", "--n", "3", braid)
+    assert code == 0 and json.loads(out)["dim"] == 6 and err == ""
+    monkeypatch.setattr(matrixrep, "WORK_BUDGET", work - 1)
+    code, out, err = run(capsys, "rep", "--n", "3", braid)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"the product of {METER_INTERVAL} non-identity letters passes")
+    assert "matrixrep.WORK_BUDGET" in err and len(err.splitlines()) == 1
+
+
+def parse_laurent(text):
+    """{exponents: coefficient} of a printed polynomial."""
+    poly = {}
+    for part in text.split(" + "):
+        sign, part = (-1, part[1:]) if part.startswith("-") else (1, part)
+        coeff, exponents = sign, {}
+        for factor in part.split("*"):
+            if factor.isdigit():
+                coeff *= int(factor)
+            else:
+                name, _, power = factor.partition("^")
+                exponents[name] = int(power or 1)
+        poly[tuple(sorted(exponents.items()))] = coeff
+    return poly
+
+
+@pytest.mark.parametrize("n, values", [(5, ["--set", "t1=-1"]),
+                                       (6, ["--set", "t1=-1", "--set", "s1=-1"])],
+                         ids=["n5", "n6"])
+def test_symbolic_corner_of_the_kernel_braid(capsys, n, values):
+    # the whole symbolic fold of Bigelow's braid is within the budget, and
+    # its corner entry specialises to the numeric one
+    code, out, err = run(capsys, "rep", "--n", str(n), "--bigelow", "--entry", "x_1_2", "x_1_2")
+    assert code == 0 and err == ""
+    corner = parse_laurent(json.loads(out))
+    assert len(corner) == 572
+    code, out, _ = run(capsys, "rep", "--n", str(n), "--bigelow", *values, "--set-rest", "1",
+                       "--entry", "x_1_2", "x_1_2")
+    assert code == 0 and json.loads(out) == "-399"
+    minus = {value.partition("=")[0] for value in values[1::2]}
+    assert sum(coeff * (-1) ** sum(e for name, e in exponents if name in minus)
+               for exponents, coeff in corner.items()) == -399
 
 
 def test_rep_symbolic_output_for_short_braids(capsys):
@@ -293,8 +386,10 @@ UNITS = "variables are units; zero assignments are not allowed\n"
      (("--set", "t1=0", "--set-rest", "1"), UNITS),
      (("--set", "t1=2", "--set-rest", "0"), UNITS),
      (("--set", "t1=2"), "variables left unassigned (add --set-rest): "
-                         "t2, t3, s1, s2, s3\n")],
-    ids=["unknown", "zero", "zero-rest", "unset"],
+                         "t2, t3, s1, s2, s3\n"),
+     (("--set", "t1=-1", "--set", "t1=2", "--set-rest", "1", "--entry", "x_1_2", "x_1_2"),
+      "--set gives 't1' more than once\n")],
+    ids=["unknown", "zero", "zero-rest", "unset", "repeated"],
 )
 def test_assignment_error_texts(capsys, assign, message):
     assert run(capsys, "rep", "--n", "3", "s1^2", *assign) == (2, "", message)
@@ -494,44 +589,91 @@ def test_rational_input_is_bounded_before_it_is_built(capsys, monkeypatch, argv,
     assert str(MAX_DECIMAL_EXPONENT) in err or str(MAX_RATIONAL_TEXT) in err
 
 
-# s1^2 on three strands: two phi letters, and t^2 in its Burau matrix; a
-# value of 1e30 has 100 + 1 bits
+def specialised_bits(matrix, value):
+    """The specialisation's charge: |exponent of t| times the bits of t,
+    over every term; a Burau key is its exponent of t."""
+    value = Fraction(value)
+    bits = value.numerator.bit_length() + value.denominator.bit_length()
+    return sum(abs(e) * bits for _, _, v in matrix.nonzero_entries() for e in v.terms)
+
+
+def rep_edge(braid, values, rest):
+    """The work at which the first charge of the fold meets the budget, and
+    the refusal one unit below it."""
+    assignment = strand_assignment(3, {k: Fraction(v) for k, v in values.items()},
+                                   Fraction(rest))
+    work = first_charge(phi_pure(BraidWord.parse(braid, 3)), assignment)
+    return work, f"the product of {METER_INTERVAL} non-identity letters passes"
+
+
+def burau_edge(braid, value, burau=burau_unreduced):
+    """The same for the specialisation of the Burau matrix."""
+    return specialised_bits(burau(BraidWord.parse(braid, 3)), value), "specialising passes"
+
+
+# s1^2k on three strands: 2k phi letters, alternately a(3,1,2) and a(3,2,1),
+# each of which writes lines, except that with only t1 set a(3,1,2) writes
+# none; so each fold below is charged once.  Powers of t reach 32 in the
+# Burau matrix of s1^32; a value of 1e30 has 100 + 1 bits.
 @pytest.mark.parametrize(
-    "argv, bound",
-    [(("rep", "--n", "3", "s1^2", "--set", "t1=1e30", "--set-rest", "1"), "MAX_REP_BIT_WORK"),
-     (("rep", "--n", "3", "s1^2", "--set-rest=-1e-30"), "MAX_REP_BIT_WORK"),
-     (("burau", "--n", "3", "s1^2", "--set-t", "1e30"), "MAX_BURAU_BIT_WORK"),
-     (("burau", "--n", "3", "s1^-2", "--reduced", "--set-t", "1e-30"), "MAX_BURAU_BIT_WORK")],
+    "argv, edge",
+    [(("rep", "--n", "3", "s1^32", "--set", "t1=1e30", "--set-rest", "1"),
+      (rep_edge, "s1^32", {"t1": "1e30"}, 1)),
+     (("rep", "--n", "3", "s1^16", "--set-rest=-1e-30"), (rep_edge, "s1^16", {}, "-1e-30")),
+     (("burau", "--n", "3", "s1^32", "--set-t", "1e30"), (burau_edge, "s1^32", "1e30")),
+     (("burau", "--n", "3", "s1^-32", "--reduced", "--set-t", "1e-30"),
+      (burau_edge, "s1^-32", "1e-30", burau_reduced))],
     ids=["rep-set", "rep-set-rest", "burau", "burau-inverse-reduced"],
 )
-def test_specialised_work_is_bounded(capsys, monkeypatch, argv, bound):
-    monkeypatch.setattr(cli, bound, 2 * 101)
+def test_specialised_work_is_bounded(capsys, monkeypatch, argv, edge):
+    function, *args = edge
+    work, refusal = function(*args)
+    monkeypatch.setattr(matrixrep, "WORK_BUDGET", work)
     code, out, err = run(capsys, *argv)
     assert code == 0 and out and err == ""
-    monkeypatch.setattr(cli, bound, 2 * 101 - 1)
+    monkeypatch.setattr(matrixrep, "WORK_BUDGET", work - 1)
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
-    assert "over 201" in err
+    assert err.startswith(refusal) and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["rep", "burau"])
+def test_large_values_are_refused_before_the_numeric_work(capsys, monkeypatch, command):
+    if command == "rep":
+        # unmetered, Bigelow's braid at t1 = 10^10000 folds for minutes: the
+        # first charge refuses it.  At t1 = 10^1000 the first charge is on
+        # one side of the budget and the second on the other.
+        def argv(value):
+            return ("rep", "--n", "5", "--bigelow", "--set", f"t1={value}", "--set-rest", "1",
+                    "--entry", "x_1_2", "x_1_2")
+
+        code, out, err = run(capsys, *argv("1e10000"))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"the product of {METER_INTERVAL} non-identity letters passes")
+        assignment = strand_assignment(5, {"t1": Fraction("1e1000")})
+        work = first_charge(phi_pure(bigelow_beta(5)), assignment)
+        for budget, letters in ((work - 1, METER_INTERVAL), (work, 2 * METER_INTERVAL)):
+            monkeypatch.setattr(matrixrep, "WORK_BUDGET", budget)
+            code, out, err = run(capsys, *argv("1e1000"))
+            assert (code, out) == (2, "")
+            assert err.startswith(f"the product of {letters} non-identity letters passes")
+    else:
+        # the specialisation is refused before any entry is evaluated
+        braid = " ".join(["s1 s2 s3 s4"] * 50)
+        argv = ("burau", "--n", "5", braid, "--set-t", "1e80")
+        work = specialised_bits(burau_unreduced(BraidWord.parse(braid, 5)), "1e80")
+        monkeypatch.setattr(matrixrep, "WORK_BUDGET", work)
+        assert run(capsys, *argv)[0] == 0
+
+        def refuse(*args):
+            raise AssertionError("an entry was evaluated")
+
+        monkeypatch.setattr(LaurentPoly, "eval", refuse)
+        monkeypatch.setattr(matrixrep, "WORK_BUDGET", work - 1)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("specialising passes")
     assert len(err.splitlines()) == 1
-
-
-@pytest.mark.parametrize(
-    "argv, owner, step",
-    [(("rep", "--n", "5", "--bigelow", "--set", "t1=1e10000", "--set-rest", "1",
-       "--entry", "x_1_2", "x_1_2"), cli, "numeric_rep_of_word"),
-     (("burau", "--n", "5", " ".join(["s1 s2 s3 s4"] * 50), "--set-t", "1e1000"),
-      PolyMatrix, "specialize")],
-    ids=["rep", "burau"],
-)
-def test_large_values_are_refused_before_the_numeric_work(capsys, monkeypatch, argv,
-                                                          owner, step):
-    def refuse(*args):
-        raise AssertionError(f"{step} ran")
-
-    monkeypatch.setattr(owner, step, refuse)
-    code, out, err = run(capsys, *argv)
-    assert (code, out) == (2, "")
-    assert "give smaller values" in err and len(err.splitlines()) == 1
 
 
 @pytest.mark.skipif(

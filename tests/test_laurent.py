@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 import oracle
-from braidrep.braids import MAX_LETTERS
-from braidrep.cli import MAX_SYMBOLIC_LETTERS
+from braidrep import laurent
+from braidrep.cli import main
 from braidrep.laurent import EXPONENT_LIMIT, LaurentRing
 
 R5 = LaurentRing.for_strands(5)
@@ -239,8 +239,15 @@ def test_exponents_outside_the_slot_are_refused(ring):
             top * factor
 
 
-def test_slot_holds_every_exponent_the_cli_can_reach():
-    # each folded letter raises an entry's |exponent| by at most 1, and the
-    # command line folds at most MAX_LETTERS Burau letters or
-    # MAX_SYMBOLIC_LETTERS symbolic phi letters
-    assert max(MAX_LETTERS, MAX_SYMBOLIC_LETTERS) < EXPONENT_LIMIT
+def test_exponents_past_the_slot_exit_2_with_one_line(capsys, monkeypatch):
+    # each folded letter raises an entry's |exponent| by at most 1, so a long
+    # enough symbolic product reaches the slot limit
+    for command in ("rep", "burau"):
+        argv = [command, "--n", "3", "s1^8"]
+        monkeypatch.undo()
+        assert main(argv) == 0
+        monkeypatch.setattr(laurent, "EXPONENT_LIMIT", 4)
+        capsys.readouterr()
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "may reach 4 >= 4" in err and len(err.splitlines()) == 1
