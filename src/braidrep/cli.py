@@ -16,7 +16,9 @@ rep and burau (rep matrices are n(n-1) square), the text of a rational value
 3 <= N <= 11 (collinearity.MAX_SIGMA_POINTS: beyond that the swap motion's
 event word is not the generator image), and simulate FILE with at most
 collinearity.MAX_FILE_BYTES bytes, MAX_POINTS points and MAX_TRIPLE_INTERVALS
-triple-intervals, weighted by the size of their integers.  The products and
+triple-intervals weighted by the size of their integers, bounded from the
+input floats before any exact number is built (detection refuses a file in
+which two points meet the same way).  The products and
 specialisations meter their own work against matrixrep.WORK_BUDGET; past it,
 or past a Laurent exponent slot (laurent.EXPONENT_LIMIT), the command exits 2
 with one line.
@@ -257,21 +259,15 @@ def cmd_check(args):
 def cmd_simulate(args):
     if (args.file is None) == (args.sigma is None):
         raise CliError("give a trajectory file or --sigma N I", USAGE_ERROR)
-    if args.sigma is not None:
-        n, i = args.sigma
-        try:
-            ts = sigma_motion(n, i)
-        except ValueError as exc:
-            raise CliError(str(exc), USAGE_ERROR)
-    else:
-        try:
-            ts = load_trajectories(args.file)
-        except OSError as exc:      # missing, a directory, not readable
-            raise CliError(str(exc), USAGE_ERROR)
-        except TrajectoryError as exc:
-            raise CliError(f"malformed trajectory file: {exc}", USAGE_ERROR)
     try:
-        events = detect_events(ts)
+        ts = sigma_motion(*args.sigma) if args.sigma else load_trajectories(args.file)
+        events = detect_events(ts)    # refuses a file in which two points meet
+    except OSError as exc:      # missing, a directory, not readable
+        raise CliError(str(exc), USAGE_ERROR)
+    except TrajectoryError as exc:
+        raise CliError(f"malformed trajectory file: {exc}", USAGE_ERROR)
+    except ValueError as exc:    # --sigma N I out of range
+        raise CliError(str(exc), USAGE_ERROR)
     except DegenerateEventError as exc:
         raise CliError(str(exc), FAILURE)
     word = events_to_word(events, ts.n)

@@ -21,13 +21,12 @@ the eleven words differ, and for n = 13..16 every word does, so
 sigma_motion refuses more than MAX_SIGMA_POINTS = 11 points.
 """
 
-from __future__ import annotations
-
 import json
 import math
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import combinations
+from itertools import chain, combinations, repeat
+from operator import ge, or_
 from typing import NamedTuple
 
 from .gn3 import GnWord, phi_generator
@@ -36,16 +35,14 @@ from .gn3 import GnWord, phi_generator
 # most points whose swap-motion word at that count is the generator image.
 SEGMENTS = 256
 MAX_SIGMA_POINTS = 11
-# Bounds on a trajectory file, checked before it is parsed: its bytes (at the
-# cap, parsing peaks near 70 MB); and before its TrajectorySet is built: its
-# points, and its quadratics, one per point triple and interval.
+# Bounds on a trajectory file: its bytes, checked before it is parsed (at the
+# cap, parsing peaks near 70 MB), its points, and the exact work of detection,
+# checked from the floats before any exact number is built.  That work is one
+# quadratic per point triple and interval, and one whose integers need B bits
+# counts ceil(B / INTERVAL_BITS)^2 times: under 10 s per admitted file.
 MAX_FILE_BYTES = 2 ** 21
 MAX_POINTS = 32
 MAX_TRIPLE_INTERVALS = 2 ** 16
-# The exact arithmetic grows with the integers of an interval, so every
-# TrajectorySet counts a triple-interval whose integers need B bits
-# ceil(B / INTERVAL_BITS)^2 times against MAX_TRIPLE_INTERVALS, before any
-# determinant is formed: under 10 s per admitted file.
 INTERVAL_BITS = 112
 
 
@@ -64,14 +61,20 @@ class CollinearityEvent(NamedTuple):
 
 class TrajectorySet:
     """Piecewise-linear paths of n labelled points over the time interval
-    [0, 1], with matching start and end point sets and no two points ever
-    meeting.  `times` is the sorted union of all breakpoint times."""
+    [0, 1], with matching start and end point sets and detection work within
+    MAX_TRIPLE_INTERVALS.  `times` is the sorted union of all breakpoint
+    times.  Two points that meet are found, and refused, by detect_events."""
 
-    __slots__ = ("n", "paths", "times", "_scaled")
+    __slots__ = ("n", "paths", "times")
 
     def __init__(self, paths):
         self.n = len(paths)
-        self.paths = [[(float(t), float(x), float(y)) for t, x, y in path] for path in paths]
+        try:
+            self.paths = [[(float(t), float(x), float(y)) for t, x, y in path] for path in paths]
+        except OverflowError as exc:    # an int past the float range
+            raise TrajectoryError(f"breakpoint values must be finite: {exc}") from exc
+        if not all(map(math.isfinite, chain.from_iterable(chain(*self.paths)))):
+            raise TrajectoryError("breakpoint values must be finite")
         if self.n < 3:
             raise TrajectoryError("need at least 3 points")
         for p, path in enumerate(self.paths, 1):
@@ -82,67 +85,79 @@ class TrajectorySet:
                 raise TrajectoryError(f"path {p} must start at time 0, got {times[0]}")
             if times[-1] != 1.0:
                 raise TrajectoryError(f"path {p} must end at time 1, got {times[-1]}")
-            if any(t1 >= t2 for t1, t2 in zip(times, times[1:])):
-                raise TrajectoryError(
-                    f"path {p} breakpoint times must be strictly increasing")
+            if any(map(ge, times, times[1:])):
+                raise TrajectoryError(f"path {p} breakpoint times must be strictly increasing")
+        start, end = (sorted(path[k][1:] for path in self.paths) for k in (0, -1))
+        if start != end:    # finite floats compare exactly
+            raise TrajectoryError("start and end point sets differ (braid boundary condition)")
         self.times = sorted({t for path in self.paths for t, _, _ in path})
-        self._scaled = []    # per time: a scale and every coordinate times it
-        for points in zip(*map(self._exact_positions, self.paths)):
-            ratios = [v.as_integer_ratio() for point in points for v in point]
-            scale = math.lcm(*(den for _, den in ratios))
-            self._scaled.append((scale, [num * (scale // den) for num, den in ratios]))
-        # bits of an interval's integers: at most those of a coordinate times
-        # its factor (see segments), plus one for the difference
-        tops = [(scale, max(map(abs, coords)).bit_length()) for scale, coords in self._scaled]
-        weights = 0
-        for (s0, b0), (s1, b1) in zip(tops, tops[1:]):
-            lcm = math.lcm(s0, s1)
-            bits = 1 + max(b0 + (lcm // s0).bit_length(), b1 + (lcm // s1).bit_length())
-            weights += math.ceil(bits / INTERVAL_BITS) ** 2
-        work = math.comb(self.n, 3) * weights
-        if work > MAX_TRIPLE_INTERVALS:
-            raise TrajectoryError(f"{work} triple-intervals weighted by integer size, "
-                                  f"over {MAX_TRIPLE_INTERVALS}")
-        ends = [sorted((Fraction(x), Fraction(y)) for _, x, y in (p[k] for p in self.paths))
-                for k in (0, -1)]
-        if ends[0] != ends[1]:
-            raise TrajectoryError(
-                "start and end point sets differ (braid boundary condition)")
-        for k, segment in enumerate(self.segments()):
-            pairs = combinations(enumerate(segment, 1), 2)
-            for (p, (x, y, dx, dy)), (q, (x2, y2, dx2, dy2)) in pairs:
-                # P - Q runs from e to e + f: through 0 if both are on a line with 0,
-                # not on one side (the orientation and dot product tests below)
-                ex, ey, fx, fy = x - x2, y - y2, dx - dx2, dy - dy2
-                if ex * (ey + fy) == ey * (ex + fx) and ex * (ex + fx) + ey * (ey + fy) <= 0:
-                    u = (-(ex * fx + ey * fy), 0, 0, max(fx * fx + fy * fy, 1))
-                    time = _time(self.times[k], self.times[k + 1], u)
-                    raise TrajectoryError(f"points {p} and {q} coincide at time {time:.6f}")
+        self._check_work()
 
-    def _exact_positions(self, path):
-        """The path's exact point at each of self.times (Fractions inside a move)."""
-        column, j = [], 0
-        for t in self.times:
-            while path[j][0] < t:
-                j += 1
-            (t0, x0, y0), (t1, x1, y1) = path[j - 1], path[j]
-            if t == t1 or (x0, y0) == (x1, y1):
-                column.append((x1, y1))
-            else:
-                u = (Fraction(t) - Fraction(t0)) / (Fraction(t1) - Fraction(t0))
-                column.append([Fraction(v0) + u * (Fraction(v1) - Fraction(v0))
-                               for v0, v1 in ((x0, x1), (y0, y1))])
-        return column
+    def _check_work(self):
+        """Refuse the motion once an upper bound on its weighted work, read
+        off the floats, passes MAX_TRIPLE_INTERVALS.  On an interval a path is
+        on a segment from A at time ta to B at tb; at a time t inside it the
+        point A + (B - A)(t - ta) / (tb - ta) is no larger than A and B, and
+        its denominator divides den(A, B) max(den(t), den(ta)) times the odd
+        part of the numerator of tb - ta.  So the interval's integers have at
+        most 1 + log2 max(|A|, |B|) + log2 max(den) + bits of odd parts."""
+        where = {t: k for k, t in enumerate(self.times)}
+        time_den = max(t.as_integer_ratio()[1] for t in self.times)
+        tops, dens, odds = [], [], []    # per path, over the intervals
+        for path in self.paths:
+            ts, xs, ys = zip(*path)
+            top = [*map(max, map(abs, xs), map(abs, ys))]
+            den = [x.as_integer_ratio()[1] | y.as_integer_ratio()[1] for x, y in zip(xs, ys)]
+            # per segment, where | of powers of two is their max
+            top, den = [*map(max, top, top[1:])], [*map(or_, den, den[1:])]
+            if len(ts) < len(self.times):    # some segments pass a time
+                runs = [where[tb] - where[ta] for ta, tb in zip(ts, ts[1:])]
+                odd = [0] * len(runs)
+                for j, run in enumerate(runs):
+                    if run > 1 and (xs[j], ys[j]) != (xs[j + 1], ys[j + 1]):
+                        (a, da), (b, db) = ts[j].as_integer_ratio(), ts[j + 1].as_integer_ratio()
+                        gap = b * da - a * db
+                        den[j] *= time_den
+                        odd[j] = gap.bit_length() - (gap & -gap).bit_length() + 1
+                top, den, odd = (chain.from_iterable(map(repeat, per_segment, runs))
+                                 for per_segment in (top, den, odd))
+                odds.append(odd)
+            tops.append(top)
+            dens.append(den)
+        triples, work = math.comb(self.n, 3), 0
+        for t, m, d, o in zip(self.times[1:], map(max, *tops), map(max, *dens),
+                              map(sum, zip(*odds)) if odds else repeat(0)):
+            bits = math.frexp(m)[1] + d.bit_length() + o
+            work += triples * math.ceil(bits / INTERVAL_BITS) ** 2
+            if work > MAX_TRIPLE_INTERVALS:
+                raise TrajectoryError(f"over {MAX_TRIPLE_INTERVALS} triple-intervals weighted "
+                                      f"by integer size by time {t:.6f}")
 
     def segments(self):
-        """For each interval [times[k], times[k + 1]], every point's motion
-        (x, y, dx, dy) in integers over one positive scale: the point is at
-        (x + u dx, y + u dy) / scale for u in [0, 1], the interval's own."""
-        for (s0, c0), (s1, c1) in zip(self._scaled, self._scaled[1:]):
-            f0, f1 = math.lcm(s0, s1) // s0, math.lcm(s0, s1) // s1
-            c0, c1 = [v * f0 for v in c0], [v * f1 for v in c1]
-            yield [(c0[i], c0[i + 1], c1[i] - c0[i], c1[i + 1] - c0[i + 1])
-                   for i in range(0, 2 * self.n, 2)]
+        """For each interval [times[k], times[k + 1]], built as it comes, every
+        point's motion (x, y, dx, dy) in integers over one positive scale: the
+        point is at (x + u dx, y + u dy) / scale for u in [0, 1]."""
+        at, previous = [0] * self.n, None    # each path's first breakpoint at or after t
+        for t in self.times:
+            ratios = []
+            for p, path in enumerate(self.paths):
+                while path[at[p]][0] < t:
+                    at[p] += 1
+                # at time 0, path[-1] stands in for the breakpoint before path[0]
+                (t0, x0, y0), (t1, x, y) = path[at[p] - 1], path[at[p]]
+                if t != t1 and (x0, y0) != (x, y):
+                    u = (Fraction(t) - Fraction(t0)) / (Fraction(t1) - Fraction(t0))
+                    x, y = (Fraction(v0) + u * (Fraction(v1) - Fraction(v0))
+                            for v0, v1 in ((x0, x), (y0, y)))
+                ratios.append(x.as_integer_ratio() + y.as_integer_ratio())
+            scale = math.lcm(*(r[k] for r in ratios for k in (1, 3)))
+            ends = [(a * (scale // b), c * (scale // d)) for a, b, c, d in ratios]
+            if previous:
+                s0, starts = previous
+                f0, f1 = math.lcm(s0, scale) // s0, math.lcm(s0, scale) // scale
+                yield [(x * f0, y * f0, x1 * f1 - x * f0, y1 * f1 - y * f0)
+                       for (x, y), (x1, y1) in zip(starts, ends)]
+            previous = scale, ends
 
 
 def load_trajectories(path):
@@ -161,25 +176,16 @@ def trajectories_from_json(data):
     if not isinstance(data, dict) or "paths" not in data or "n" not in data:
         raise TrajectoryError('expected an object with "n" and "paths"')
     paths = data["paths"]
-    if not isinstance(paths, list) or len(paths) != data["n"]:
-        raise TrajectoryError('"paths" must list one path per point')
+    if type(data["n"]) is not int or not isinstance(paths, list) or len(paths) != data["n"]:
+        raise TrajectoryError('"n" must be an integer and "paths" list one path per point')
     if len(paths) > MAX_POINTS:
         raise TrajectoryError(f"at most {MAX_POINTS} points")
-    for path in paths:
-        if not isinstance(path, list) or not all(
-            isinstance(bp, list) and len(bp) == 3 for bp in path
-        ):
-            raise TrajectoryError("each breakpoint must be a [t, x, y] triple")
-    try:
-        paths = [[tuple(float(v) for v in bp) for bp in path] for path in paths]
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise TrajectoryError(f"breakpoint values must be numbers: {exc}") from exc
-    if not all(math.isfinite(v) for path in paths for bp in path for v in bp):
-        raise TrajectoryError("breakpoint values must be finite")
-    intervals = len({bp[0] for path in paths for bp in path}) - 1
-    work = math.comb(len(paths), 3) * intervals
-    if work > MAX_TRIPLE_INTERVALS:
-        raise TrajectoryError(f"{work} triple-intervals, over {MAX_TRIPLE_INTERVALS}")
+    if not all(isinstance(path, list) and all(isinstance(bp, list) and len(bp) == 3
+                                              for bp in path) for path in paths):
+        raise TrajectoryError("each breakpoint must be a [t, x, y] triple")
+    # float() would also read strings such as "0.5", and booleans
+    if not {type(v) for path in paths for bp in path for v in bp} <= {int, float}:
+        raise TrajectoryError("breakpoint values must be JSON numbers")
     return TrajectorySet(paths)
 
 
@@ -218,19 +224,24 @@ def sigma_motion(n, i):
 
 
 def detect_events(ts):
-    """All triple collinearity events of the motion, in time order.  A
-    determinant that is zero at a breakpoint, a tangency, or two events at
-    the same instant raise DegenerateEventError."""
-    triples = list(combinations(range(1, ts.n + 1), 3))
-    events = []
-    for k, segment in enumerate(ts.segments()):
-        t0, t1 = ts.times[k], ts.times[k + 1]
+    """All triple collinearity events of the motion, in time order.  Two
+    points that meet raise TrajectoryError; a zero determinant at a breakpoint,
+    a tangency, or two events at the same instant raise DegenerateEventError."""
+    triples, events = list(combinations(range(1, ts.n + 1), 3)), []
+    for segment, t0, t1 in zip(ts.segments(), ts.times, ts.times[1:]):
         cross = {}    # cross(P_p(u), P_q(u)) as a quadratic in u, for p < q
+        own = [x * dy - y * dx for x, y, dx, dy in segment]
         pairs = combinations(enumerate(segment, 1), 2)
         for (p, (x, y, dx, dy)), (q, (x2, y2, dx2, dy2)) in pairs:
-            cross[p, q] = (dx * dy2 - dy * dx2,
-                           x * dy2 - y * dx2 + dx * y2 - dy * x2,
-                           x * y2 - y * x2)
+            mid = x * dy2 - y * dx2 + dx * y2 - dy * x2
+            cross[p, q] = (dx * dy2 - dy * dx2, mid, x * y2 - y * x2)
+            # P - Q moves from e to e + f, e x f = own(p) + own(q) - mid: it meets
+            # 0 if e x f = 0 and e, e + f are not on one side of 0
+            if own[p - 1] + own[q - 1] == mid:
+                ex, ey, fx, fy = x - x2, y - y2, dx - dx2, dy - dy2
+                if ex * (ex + fx) + ey * (ey + fy) <= 0:
+                    time = _time(t0, t1, (-(ex * fx + ey * fy), 0, 0, max(fx * fx + fy * fy, 1)))
+                    raise TrajectoryError(f"points {p} and {q} coincide at time {time:.6f}")
         found = []
         for a, b, c in triples:
             # det[P_b - P_a, P_c - P_a] = cross(a, b) + cross(b, c) - cross(a, c)
@@ -336,29 +347,17 @@ def events_to_word(events, n):
 
 def calibrate_against_phi(n):
     """Compare, for every Artin generator, the geometric event word of the
-    swap motion with the algebraic generator image.
-
-    Returns one report entry per generator, shaped like the relation
-    suites' entries: "ok" is true and "match" is "exact" when the letter
-    sequences coincide, "mismatch" otherwise."""
+    swap motion with the algebraic generator image: one report entry per
+    generator, shaped like the relation suites' entries, with "ok" true and
+    "match" "exact" when the letter sequences coincide, else "mismatch"."""
     if n < 3:
         raise ValueError("need at least 3 points")
     report = []
     for i in range(1, n):
         events = detect_events(sigma_motion(n, i))
-        geometric = events_to_word(events, n)
-        expected = phi_generator(n, i).word
+        geometric, expected = events_to_word(events, n), phi_generator(n, i).word
         exact = geometric == expected
-        report.append(
-            {
-                "relation": "oracle",
-                "instance": f"i={i}",
-                "ok": exact,
-                "i": i,
-                "match": "exact" if exact else "mismatch",
-                "events": len(events),
-                "geometric": str(geometric),
-                "expected": str(expected),
-            }
-        )
+        report.append({"relation": "oracle", "instance": f"i={i}", "ok": exact, "i": i,
+                       "match": "exact" if exact else "mismatch", "events": len(events),
+                       "geometric": str(geometric), "expected": str(expected)})
     return report

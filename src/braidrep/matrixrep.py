@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, permutations
+from itertools import combinations, compress, permutations
 
 from .braids import BraidWord
 from .gn3 import phi_word
@@ -204,18 +204,22 @@ def _fold(dim, one, letters, ops, size=_terms):
     """Lines of the product of the letters, from the identity on.  ops(letter)
     gives the letter's rewrites; each new line is read from the old lines.
     A letter's work is about the size of the lines it writes, and an identity
-    letter writes none: every METER_INTERVAL-th letter that writes lines is
-    measured and charged for the METER_INTERVAL such letters up to it."""
+    letter writes none.  After every METER_INTERVAL letters that write lines,
+    each line written since the last charge is charged its size times its
+    writes."""
     lines = [{r: one} for r in range(dim)]
     work = written = 0
+    writes = [0] * dim    # times each line was written since the last charge
     for letter in letters:
         new = [(target, _combine(lines, terms)) for target, terms in ops(letter)]
         if new:
             for target, line in new:
                 lines[target] = line
+                writes[target] += 1
             written += 1
             if not written % METER_INTERVAL:
-                work += METER_INTERVAL * sum(size(line) for _, line in new)
+                work += sum(writes[t] * size(lines[t]) for t in compress(range(dim), writes))
+                writes = [0] * dim
                 _spend(work, f"the product of {written} non-identity letters")
     return lines
 

@@ -12,9 +12,12 @@ tuple slot per ring variable in ring order, with no packing and no bound.
 
 The reference collinearity events work in Fractions throughout and
 isolate each root by bisection, where braidrep.collinearity scales to
-integers and compares roots in closed form.
+integers and compares roots in closed form.  The reference interval weights
+build the exact positions that braidrep.collinearity bounds from floats.
 """
 
+import math
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations
 
@@ -235,3 +238,26 @@ def collinearity_events(paths):
 
 def _dist2(pa, pb):
     return (pa[0] - pb[0]) ** 2 + (pa[1] - pb[1]) ** 2
+
+
+def interval_weights(paths, interval_bits):
+    """ceil(B / interval_bits)^2 for every breakpoint interval of the motion,
+    where B is one bit for a difference plus the most bits of a coordinate
+    at either end of the interval over the least common denominator of all
+    of them: the size of the interval's integers in exact detection."""
+    paths = [[tuple(Fraction(v) for v in bp) for bp in path] for path in paths]
+    times = sorted({bp[0] for path in paths for bp in path})
+    ends = [[] for _ in times]
+    for path in paths:
+        starts = [bp[0] for bp in path]
+        for k, t in enumerate(times):
+            j = bisect_left(starts, t)
+            still = starts[j] == t or path[j - 1][1:] == path[j][1:]
+            ends[k] += path[j][1:] if still else _at(path[j - 1:j + 1], t)
+    weights = []
+    for values in (e0 + e1 for e0, e1 in zip(ends, ends[1:])):
+        scale = math.lcm(*(v.denominator for v in values))
+        bits = 1 + max((abs(v.numerator) * (scale // v.denominator)).bit_length()
+                       for v in values)
+        weights.append(math.ceil(bits / interval_bits) ** 2)
+    return weights

@@ -2,6 +2,7 @@ import json
 import math
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -100,10 +101,10 @@ def test_rep_rejects_zero_assignment(capsys):
 
 # Reference for the fold's work meter.  A line's size is its Laurent terms,
 # or for numbers its entries plus the sum of b*b >> 17 over entries of b bits.
-# Every METER_INTERVAL-th letter that writes lines is charged METER_INTERVAL
-# times the size of the lines it writes.  a(i,j,k) writes x_ij unless t_i = 1,
-# x_kj unless t_k = 1, and x_jk and x_ji unless s_j = 1; symbolically it
-# writes all four.
+# After every METER_INTERVAL letters that write lines, each line written since
+# the last charge is charged its size times the number of its writes.
+# a(i,j,k) writes x_ij unless t_i = 1, x_kj unless t_k = 1, and x_jk and x_ji
+# unless s_j = 1; symbolically it writes all four.
 
 def terms_size(values):
     return sum(len(v.terms) for v in values)
@@ -126,8 +127,7 @@ def written_by(letter, assignment):
 def first_charge(word, assignment=None):
     """The work of the meter's first charge on the fold of a phi word."""
     writers = [m for m in range(1, len(word) + 1) if written_by(word.letters[m - 1], assignment)]
-    count = writers[METER_INTERVAL - 1]
-    prefix = GnWord(word.n, word.letters[:count])
+    prefix = GnWord(word.n, word.letters[:writers[METER_INTERVAL - 1]])
     with pytest.MonkeyPatch.context() as unmetered:
         unmetered.setattr(matrixrep, "WORK_BUDGET", math.inf)
         if assignment is None:
@@ -135,9 +135,10 @@ def first_charge(word, assignment=None):
         else:
             matrix, size = numeric_rep_of_word(prefix, assignment), number_size
     index = basis_index(word.n)
-    columns = [[row[index[pair]] for row in matrix.rows.values() if index[pair] in row]
-               for pair in written_by(word.letters[count - 1], assignment)]
-    return METER_INTERVAL * sum(map(size, columns))
+    writes = Counter(pair for letter in prefix.letters for pair in written_by(letter, assignment))
+    return sum(count * size([row[index[pair]] for row in matrix.rows.values()
+                             if index[pair] in row])
+               for pair, count in writes.items())
 
 
 def test_rep_symbolic_guard_for_long_braids(capsys, monkeypatch):
@@ -152,6 +153,26 @@ def test_rep_symbolic_guard_for_long_braids(capsys, monkeypatch):
     assert (code, out) == (2, "")
     assert err.startswith(f"the product of {METER_INTERVAL} non-identity letters passes")
     assert "matrixrep.WORK_BUDGET" in err and len(err.splitlines()) == 1
+
+
+def fold_charge(monkeypatch, braid, n):
+    """The meter's total charge on the Burau fold of the braid, unbounded."""
+    charges = [0]
+    monkeypatch.setattr(matrixrep, "_spend", lambda work, what: charges.append(work))
+    burau_unreduced(BraidWord.parse(braid, n))
+    return charges[-1]
+
+
+def test_meter_charges_every_letter_that_writes(capsys, monkeypatch):
+    # every 16th letter of (s1^15 s30)^k is the cheap s30; s30 commutes with
+    # s1 and writes other lines, so the s1 lines grow as in s1^(15 k)
+    lined_up = " ".join(["s1"] * 15 + ["s30"])
+    with monkeypatch.context() as unbounded:
+        charge = fold_charge(unbounded, " ".join([lined_up] * 64), 32)
+        assert charge >= fold_charge(unbounded, "s1^960", 32)
+    code, out, err = run(capsys, "burau", "--n", "32", " ".join([lined_up] * 256))
+    assert (code, out) == (2, "")
+    assert err.startswith("the product of") and len(err.splitlines()) == 1
 
 
 def parse_laurent(text):
@@ -463,11 +484,17 @@ def test_simulate_sigma_size_is_capped(capsys):
         assert "11" in err and len(err.splitlines()) == 1
 
 
-def test_simulate_rejects_non_numeric_coordinate(capsys, tmp_path):
+@pytest.mark.parametrize(
+    "n, value",
+    [(3, "a"), (3, "0.5"), (3, "1e1"), (3, True), (3, None), (True, 0.5), (3.0, 0.5)],
+    ids=["text", "decimal-text", "exponent-text", "boolean", "null", "n-boolean", "n-float"],
+)
+def test_simulate_rejects_non_numeric_coordinate(capsys, tmp_path, n, value):
+    # float() would read "0.5", "1e1" and true
     doc = {
-        "n": 3,
+        "n": n,
         "paths": [
-            [[0.0, "a", 0.0], [1.0, 0.0, 0.0]],
+            [[0.0, value, 0.0], [1.0, value, 0.0]],
             [[0.0, 1.0, 0.1], [1.0, 1.0, 0.1]],
             [[0.0, 0.2, 1.0], [1.0, 0.2, 1.0]],
         ],
@@ -502,17 +529,19 @@ def resting_doc(points, intervals):
             "paths": [[[t, float(x), float(x * x)] for t in times] for x in range(points)]}
 
 
+def refuse_fraction(*args):
+    raise AssertionError("a Fraction was built")
+
+
 def test_simulate_file_size_is_bounded(capsys, tmp_path, monkeypatch):
+    # the work bound reads the floats: no exact number is built on either side
+    monkeypatch.setattr(collinearity, "Fraction", refuse_fraction)
     path = tmp_path / "motion.json"
     intervals = collinearity.MAX_TRIPLE_INTERVALS // math.comb(MAX_STRANDS, 3)
     path.write_text(json.dumps(resting_doc(MAX_STRANDS, intervals)))
     assert run(capsys, "simulate", str(path))[:2] == (0, '{"n": 32, "events": [], "word": []}\n')
-
-    def refuse(paths):
-        raise AssertionError("TrajectorySet was built")
-
-    monkeypatch.setattr(collinearity, "TrajectorySet", refuse)
-    for doc, text in [(resting_doc(MAX_STRANDS, intervals + 1), "triple-intervals"),
+    for doc, text in [(resting_doc(MAX_STRANDS, intervals + 1),
+                       f"over {collinearity.MAX_TRIPLE_INTERVALS} triple-intervals weighted"),
                       (resting_doc(MAX_STRANDS + 1, 1), f"at most {MAX_STRANDS} points")]:
         path.write_text(json.dumps(doc))
         code, out, err = run(capsys, "simulate", str(path))
@@ -534,9 +563,9 @@ def test_simulate_file_size_is_bounded(capsys, tmp_path, monkeypatch):
 
 def test_simulate_work_counts_integer_size(capsys, tmp_path, monkeypatch):
     # three resting points whose integers over the common scale 2^100 are
-    # 2^300, 1 and 2^100: 301 bits, counted as at most 303 (a factor of 1
-    # and a difference), so the one triple-interval weighs 3^2
-    weight = math.ceil(303 / collinearity.INTERVAL_BITS) ** 2
+    # 2^300, 1 and 2^100: 301 bits and one for a difference, so the one
+    # triple-interval weighs 3^2
+    weight = math.ceil(302 / collinearity.INTERVAL_BITS) ** 2
     assert weight == 9
     points = [(2.0 ** 200, 0.0), (0.0, 2.0 ** -100), (1.0, 1.0)]
     path = tmp_path / "motion.json"
@@ -546,7 +575,40 @@ def test_simulate_work_counts_integer_size(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(collinearity, "MAX_TRIPLE_INTERVALS", weight - 1)
     code, out, err = run(capsys, "simulate", str(path))
     assert (code, out) == (2, "")
-    assert f"{weight} triple-intervals weighted" in err and len(err.splitlines()) == 1
+    assert err == ("malformed trajectory file: over 8 triple-intervals weighted by integer "
+                   "size by time 1.000000\n")
+
+
+def test_simulate_refuses_misaligned_breakpoints_before_exact_arithmetic(
+        capsys, tmp_path, monkeypatch):
+    # three points, each turning at its own 10000 times: every breakpoint
+    # time falls inside the other paths' segments, whose points would be
+    # interpolated in Fractions
+    rng = random.Random(3)
+    paths = []
+    for x, y in [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]:
+        times = sorted(rng.random() for _ in range(10000))
+        paths.append([[0.0, x, y]] + [[t, x + rng.random(), y + rng.random()] for t in times]
+                     + [[1.0, x, y]])
+    path = tmp_path / "motion.json"
+    path.write_text(json.dumps({"n": 3, "paths": paths}))
+    assert path.stat().st_size <= collinearity.MAX_FILE_BYTES
+    monkeypatch.setattr(collinearity, "Fraction", refuse_fraction)
+    code, out, err = run(capsys, "simulate", str(path))
+    assert (code, out) == (2, "")
+    assert "triple-intervals weighted by integer size" in err and len(err.splitlines()) == 1
+
+
+def test_simulate_refuses_meeting_points(capsys, tmp_path):
+    # points 1 and 2 meet at t = 0.1, inside a breakpoint interval; detection
+    # finds it and refuses the file
+    paths = [[[0.0, 0.0, 0.0], [0.5, 5.0, 0.0], [1.0, 0.0, 0.0]],
+             [[0.0, 1.0, 0.0], [1.0, 1.0, 0.0]],
+             [[0.0, 0.0, 3.0], [1.0, 0.0, 3.0]]]
+    path = tmp_path / "motion.json"
+    path.write_text(json.dumps({"n": 3, "paths": paths}))
+    assert run(capsys, "simulate", str(path)) == (
+        2, "", "malformed trajectory file: points 1 and 2 coincide at time 0.100000\n")
 
 
 def test_simulate_refuses_coordinates_of_mixed_magnitude(capsys, tmp_path):

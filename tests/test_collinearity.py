@@ -8,7 +8,9 @@ import pytest
 
 import oracle
 
+from braidrep import collinearity
 from braidrep.collinearity import (
+    INTERVAL_BITS,
     MAX_SIGMA_POINTS,
     SEGMENTS,
     DegenerateEventError,
@@ -222,8 +224,9 @@ def test_rejects_identical_constant_paths():
         [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0)],
         [(0.0, 1.0, 1.0), (1.0, 1.0, 1.0)],
     ]
-    with pytest.raises(TrajectoryError, match="coincide"):
-        TrajectorySet(paths)
+    ts = TrajectorySet(paths)
+    with pytest.raises(TrajectoryError, match="points 1 and 2 coincide at time 0.000000"):
+        detect_events(ts)
 
 
 def test_rejects_times_not_spanning_unit_interval():
@@ -280,8 +283,9 @@ def test_collision_between_grid_times_is_refused():
         [(0.0, 1.0, 0.0), (1.0, 1.0, 0.0)],
         [(0.0, 0.0, 3.0), (1.0, 0.0, 3.0)],
     ]
+    ts = TrajectorySet(paths)
     with pytest.raises(TrajectoryError, match="points 1 and 2 coincide at time 0.100000"):
-        TrajectorySet(paths)
+        detect_events(ts)
 
 
 def random_motion(rng, n, aligned):
@@ -318,3 +322,44 @@ def test_events_match_the_fraction_reference_on_coarse_motions():
         assert all(abs(e.time - t) < 1e-12 for e, (t, _) in zip(events, expected))
         total += len(events)
     assert total > 500
+
+
+def bound_admits(paths, work):
+    """Whether the float bound of TrajectorySet admits the motion when the
+    work limit is set to work."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(collinearity, "MAX_TRIPLE_INTERVALS", work)
+        try:
+            TrajectorySet(paths)
+        except TrajectoryError as exc:
+            assert "triple-intervals weighted by integer size" in str(exc)
+            return False
+    return True
+
+
+def reference_work(paths):
+    return math.comb(len(paths), 3) * sum(oracle.interval_weights(paths, INTERVAL_BITS))
+
+
+def test_work_bound_is_an_upper_bound_of_the_exact_weights():
+    # the bound never admits a motion below its exact weighted work; where no
+    # point is interpolated (aligned motions, swap motions) it is that work
+    rng = random.Random(20261020)
+    motions = [(random_motion(rng, 4 + trial % 3, aligned=trial % 2 == 0), trial % 2 == 0)
+               for trial in range(24)]
+    demo = json.loads((DEMOS / "double_crossing.json").read_text())["paths"]
+    motions.append((demo, True))
+    # integers 2^111, 1 and 2^100 over the scale 2^100: 113 bits, one past a weight step
+    motions.append(([[(0.0, x, y), (1.0, x, y)]
+                     for x, y in ((2.0 ** 11, 0.0), (0.0, 2.0 ** -100), (1.0, 1.0))], True))
+    motions += [(sigma_motion(n, i).paths, True)
+                for n in range(3, MAX_SIGMA_POINTS + 1) for i in range(1, n)]
+    loose = 0
+    for paths, aligned in motions:
+        work = reference_work(paths)
+        assert not bound_admits(paths, work - 1)
+        if aligned:
+            assert bound_admits(paths, work)
+        else:
+            loose += not bound_admits(paths, work)
+    assert loose > 0    # the misaligned motions do interpolate points
