@@ -7,6 +7,10 @@ This is slow and independent of the fold; the tests compare the two.
 Matrices here are sparse rows {r: {c: value}} unless a function says
 otherwise.
 
+The reference relation report folds every side of every relation instance
+from the identity with braidrep.matrixrep._fold, letter by letter, with no
+column shared between sides.
+
 A reference polynomial is a plain dict {exponent tuple: nonzero int}, one
 tuple slot per ring variable in ring order, with no packing and no bound.
 
@@ -19,8 +23,9 @@ build the exact positions that braidrep.collinearity bounds from floats.
 import math
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
+from braidrep import matrixrep
 from braidrep.laurent import LaurentRing
 from braidrep.matrixrep import (
     PRODUCT_WORD_ORDER,
@@ -122,6 +127,34 @@ def burau_product(w):
     return product(w.n, LaurentRing.burau().one(),
                    [burau_generator(w.n, i, e) for i, e in w.letters])
 
+
+def relation_report(n):
+    """The report of matrixrep.check_relations(n), each side folded from the
+    identity by matrixrep._fold with the rewrites of matrixrep._gn_ops (read
+    when called, so a patched _gn_ops applies here too)."""
+    ring = LaurentRing.for_strands(n)
+    one, dim = ring.one(), n * (n - 1)
+    ops = matrixrep._gn_ops(n, matrixrep._laurent_scalar(ring), one)
+    triples = list(permutations(range(1, n + 1), 3))
+    instances = [(1, f"a{t} a{t[::-1]} = 1", (t, t[::-1]), ()) for t in triples]
+    instances += [
+        (2, f"a{t1} a{t2} commute", (t1, t2), (t2, t1))
+        for t1, t2 in combinations(triples, 2)
+        if len(set(t1) | set(t2)) >= 5
+    ]
+    instances += [
+        (3, f"tetrahedron ({i},{j},{k},{l})",
+         ((i, j, k), (i, j, l), (i, k, l), (j, k, l)),
+         ((j, k, l), (i, k, l), (i, j, l), (i, j, k)))
+        for subset in combinations(range(1, n + 1), 4)
+        for i, j, k, l in permutations(subset)
+    ]
+    fold = matrixrep._fold
+    return [
+        {"relation": relation, "instance": instance,
+         "ok": fold(dim, one, lhs, ops) == fold(dim, one, rhs, ops)}
+        for relation, instance, lhs, rhs in instances
+    ]
 
 
 def laurent_add(a, b):
