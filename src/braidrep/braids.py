@@ -8,6 +8,7 @@ representations, so word-problem machinery is deliberately absent.
 
 from __future__ import annotations
 
+import operator
 import re
 
 from .permutations import Permutation
@@ -43,7 +44,7 @@ class Word:
         generator = self._generator
         clean = []
         for g, e in letters:
-            g, e = generator(n, g), int(e)
+            g, e = generator(n, g), operator.index(e)
             if e not in (1, -1):
                 raise ValueError(f"letter exponent must be +-1, got {e}")
             clean.append((g, e))
@@ -87,7 +88,7 @@ class BraidWord(Word):
 
     @staticmethod
     def _generator(n, i):
-        i = int(i)
+        i = operator.index(i)
         if not 1 <= i <= n - 1:
             raise ValueError(f"generator index {i} out of range 1..{n - 1}")
         return i
@@ -142,22 +143,14 @@ def commutator(a, b, convention=DEFAULT_COMMUTATOR_CONVENTION):
     raise ValueError(f"unknown commutator convention {convention!r}")
 
 
-def _psi1():
-    return BraidWord.parse("s3^-1 s2 s1^2 s2 s4^3 s3 s2", 5)
-
-
-def _psi2():
-    return BraidWord.parse("s4^-1 s3 s2 s1^-2 s2 s1^2 s2^2 s1 s4^5", 5)
-
-
 def bigelow_beta(n, convention=DEFAULT_COMMUTATOR_CONVENTION):
     """Bigelow's pure 5-strand braid in the kernel of the reduced Burau
-    representation, as a commutator of two conjugates; for n = 6 the same
-    letter sequence is reinterpreted on six strands."""
-    if n not in (5, 6):
-        raise ValueError("the built-in kernel braid exists for n = 5 or 6")
-    psi1 = _psi1()
-    psi2 = _psi2()
+    representation, as a commutator of two conjugates; for n > 5 the same
+    letters are placed on n strands."""
+    if n < 5:
+        raise ValueError("the built-in kernel braid needs n >= 5")
+    psi1 = BraidWord.parse("s3^-1 s2 s1^2 s2 s4^3 s3 s2", 5)
+    psi2 = BraidWord.parse("s4^-1 s3 s2 s1^-2 s2 s1^2 s2^2 s1 s4^5", 5)
     x = psi1.inverse() * BraidWord.parse("s4", 5) * psi1
     y = psi2.inverse() * BraidWord.parse("s4 s3 s2 s1^2 s2 s3 s4", 5) * psi2
     beta = commutator(x, y, convention)

@@ -30,6 +30,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 
 from .braids import BraidParseError, BraidWord, bigelow_beta
 from .collinearity import (
@@ -68,7 +69,9 @@ class CliError(Exception):
         self.code = code
 
 
+@cache
 def build_parser():
+    """The argparse tree, built once; each subcommand sets args.handler."""
     parser = argparse.ArgumentParser(
         prog="braidrep",
         description="Exact braid representations from collinearity events",
@@ -78,14 +81,16 @@ def build_parser():
 
     p = sub.add_parser("phi", help="image of a braid in the semidirect product",
                        allow_abbrev=False)
+    p.set_defaults(handler=cmd_phi)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("braid", help='braid word, e.g. "s1 s2^-1" or "1 -2"')
 
     p = sub.add_parser("rep", allow_abbrev=False, help="matrix of a pure braid")
+    p.set_defaults(handler=cmd_rep)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("braid", nargs="?", default=None)
     p.add_argument("--bigelow", action="store_true",
-                   help="use the built-in Burau-kernel braid (n = 5 or 6)")
+                   help="use the built-in Burau-kernel braid (n >= 5)")
     p.add_argument("--set", action="append", default=[], metavar="VAR=VALUE",
                    help="specialise a variable to an exact rational")
     p.add_argument("--set-rest", default=None, metavar="VALUE",
@@ -94,6 +99,7 @@ def build_parser():
                    help="print a single entry, e.g. --entry x_1_2 x_1_2")
 
     p = sub.add_parser("burau", allow_abbrev=False, help="Burau matrix of a braid")
+    p.set_defaults(handler=cmd_burau)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("braid", nargs="?", default=None)
     p.add_argument("--bigelow", action="store_true")
@@ -102,11 +108,13 @@ def build_parser():
                    help="specialise t to an exact rational")
 
     p = sub.add_parser("check", allow_abbrev=False, help="run a verification suite")
+    p.set_defaults(handler=cmd_check)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("which", choices=("gn-relations", "braid-relations", "oracle"))
 
     p = sub.add_parser("simulate", help="collinearity events of a motion",
                        allow_abbrev=False)
+    p.set_defaults(handler=cmd_simulate)
     p.add_argument("file", nargs="?", default=None, help="trajectory JSON file")
     p.add_argument("--sigma", nargs=2, type=int, default=None, metavar=("N", "I"),
                    help="use the built-in swap motion of generator I on N points")
@@ -300,20 +308,12 @@ def _attach_values(argv):
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(_attach_values(sys.argv[1:] if argv is None else argv))
+        args = build_parser().parse_args(_attach_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
-    handlers = {
-        "phi": cmd_phi,
-        "rep": cmd_rep,
-        "burau": cmd_burau,
-        "check": cmd_check,
-        "simulate": cmd_simulate,
-    }
     try:
-        result = handlers[args.command](args)
+        result = args.handler(args)
     except CliError as exc:
         print(str(exc), file=sys.stderr)
         return exc.code

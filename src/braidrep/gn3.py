@@ -11,6 +11,8 @@ questions are delegated to the matrix representation (matrixrep.py).
 
 from __future__ import annotations
 
+from operator import index
+
 from .braids import Word
 from .permutations import Permutation
 
@@ -26,7 +28,7 @@ class GnWord(Word):
 
     @staticmethod
     def _generator(n, triple):
-        i, j, k = triple = tuple(int(v) for v in triple)
+        i, j, k = triple = tuple(map(index, triple))
         if len({i, j, k}) != 3:
             raise ValueError(f"indices of a generator must be pairwise distinct: {triple}")
         for v in triple:

@@ -21,8 +21,8 @@ No letter matrix is built: a product is one fold over sparse columns
 columns ij, kj, jk, ji of M, and a Burau letter two columns.  The reversed
 product of a word u v, M(v) . M(u), is the word-order product of v u, so
 it folds the same rewrites over the letters in reverse.  Scalars are
-LaurentPoly (symbolic), int (every specialised value +-1, its own inverse)
-or exact Fraction.
+LaurentPoly (symbolic) or exact numbers: a specialised value +-1 folds as
+the int that is its own inverse, any other value as an exact Fraction.
 
 Every result, symbolic, specialised or Burau, is one sparse PolyMatrix
 holding the folded columns as rows {r: {c: nonzero value}}; its entries
@@ -193,11 +193,14 @@ def _terms(line):
     return sum(len(v.terms) for v in line.values())
 
 
-def _fraction_size(line):
-    """Entries, and b*b >> 17 more for each Fraction of b bits: its arithmetic
-    is about quadratic in b."""
-    return len(line) + (sum((v.numerator.bit_length() + v.denominator.bit_length()) ** 2
-                            for v in line.values()) >> 17)
+def _number_size(line):
+    """Entries, and b*b >> 17 more for each number (int or Fraction) of b
+    bits, numerator plus denominator: its arithmetic is about quadratic in b."""
+    squares = 0
+    for v in line.values():
+        bits = v.numerator.bit_length() + v.denominator.bit_length()
+        squares += bits * bits
+    return len(line) + (squares >> 17)
 
 
 def _fold(dim, one, letters, ops, size=_terms):
@@ -277,19 +280,18 @@ def rep_of_word(word, order=None):
 
 
 def numeric_rep_of_word(word, assignment, order=None):
-    """The matrix of the word with every variable specialised, folded in
-    int when all values are +-1 and in exact Fractions otherwise.  The
-    assignment must give every variable (see strand_assignment).
+    """The matrix of the word with every variable specialised, each value
+    folded as the exact number it is: a value +-1 as the int that is its own
+    inverse, any other as a Fraction, every line metered by _number_size.
+    The assignment must give every variable (see strand_assignment).
 
     Specialisation is a ring homomorphism, so this equals specialising the
     symbolic product; it is the fast path for long words."""
     order = order or DEFAULT_PRODUCT_ORDER
     assignment = strand_assignment(word.n, assignment, rest=None)
-    if all(abs(v) == 1 for v in assignment.values()):
-        scalars, size = {name: (int(v), int(v)) for name, v in assignment.items()}, len
-    else:
-        scalars, size = {name: (v, 1 / v) for name, v in assignment.items()}, _fraction_size
-    lines = _word_lines(word, scalars.__getitem__, 1, order, size)
+    scalars = {name: (int(v), int(v)) if abs(v) == 1 else (v, 1 / v)
+               for name, v in assignment.items()}
+    lines = _word_lines(word, scalars.__getitem__, 1, order, _number_size)
     return PolyMatrix(len(lines), _rows(lines), word.n)
 
 

@@ -8,12 +8,14 @@ multiplication in gn3.py associative; see the property tests.
 
 from __future__ import annotations
 
+from operator import index
+
 
 class Permutation:
     __slots__ = ("images",)
 
     def __init__(self, images):
-        images = tuple(int(v) for v in images)
+        images = tuple(map(index, images))
         if sorted(images) != list(range(1, len(images) + 1)):
             raise ValueError(f"not a bijection of 1..{len(images)}: {images}")
         self.images = images

@@ -10,6 +10,7 @@ from braidrep.braids import (
     bigelow_beta,
     commutator,
 )
+from braidrep.gn3 import GnWord
 from braidrep.permutations import Permutation
 from words import free_reduce
 
@@ -137,3 +138,18 @@ def test_bigelow_beta_on_six_strands_keeps_letters():
 def test_bigelow_beta_rejects_other_strand_counts():
     with pytest.raises(ValueError):
         bigelow_beta(4)
+
+
+# Indices and exponents are read with operator.index: a float or a string
+# is refused, not truncated or parsed, and ints and bools pass as ints.
+@pytest.mark.parametrize("make", [
+    lambda v: BraidWord(3, [(1, v)]),
+    lambda v: BraidWord(3, [(v, 1)]),
+    lambda v: GnWord(3, [((v, 2, 3), 1)]),
+    lambda v: Permutation([v, 2, 3]),
+], ids=["Word-exponent", "BraidWord-index", "GnWord-index", "Permutation"])
+def test_indices_must_be_integers(make):
+    assert repr(make(True)) == repr(make(1))
+    for value in (1.0, 1.9, "1"):
+        with pytest.raises(TypeError):
+            make(value)

@@ -76,6 +76,18 @@ def test_rep_reproduces_the_corner_entry_on_six_strands(capsys):
     assert json.loads(out) == "-399"
 
 
+def test_successive_calls_parse_independently(capsys):
+    # the parser is built once per process: the --set list of one call must
+    # not reach the next (s1^2's corner x_1_2 is t1^-1*s1)
+    corners = []
+    for values in (["--set", "t1=2"], ["--set", "s1=3"], [], ["--set", "t1=2"]):
+        code, out, err = run(capsys, "rep", "--n", "3", "s1^2", *values, "--set-rest", "1",
+                             "--entry", "x_1_2", "x_1_2")
+        assert code == 0 and err == ""
+        corners.append(json.loads(out))
+    assert corners == ["1/2", "3", "1", "1/2"]
+
+
 def test_rep_of_empty_braid_is_identity(capsys):
     code, out, _ = run(capsys, "rep", "--n", "3", "")
     assert code == 0

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from braidrep import matrixrep
 from braidrep.braids import BraidWord, bigelow_beta
 from braidrep.gn3 import GnWord, NotPureError, phi_pure
 from braidrep.laurent import LaurentRing
@@ -22,6 +23,7 @@ from braidrep.matrixrep import (
     strand_assignment,
 )
 from oracle import word_product
+from words import cancel_relations_1_2
 
 
 def identity_for(n):
@@ -280,6 +282,32 @@ def test_numeric_fold_of_plain_int_values_is_exact():
     assert matrix == rep_of_word(w).specialize(strand_assignment(3, ALL_ONES_BUT_T1))
 
 
+def test_unit_values_fold_as_ints_beside_a_rational():
+    # each value is specialised on its own: a word on the indices 1..3
+    # never reads t4, so with t4 = 2/3 its +-1 values fold in ints alone
+    rng = random.Random(4)
+    assignment = strand_assignment(4, {"t4": Fraction(2, 3), "t1": -1, "t3": -1, "s2": -1})
+    word = GnWord(4, [(tuple(rng.sample(range(1, 4), 3)), rng.choice((1, -1)))
+                      for _ in range(12)])
+    matrix = numeric_rep_of_word(word, assignment)
+    assert not matrix.is_identity()
+    assert all(type(v) is int for _, _, v in matrix.nonzero_entries())
+    assert matrix == rep_of_word(word).specialize(assignment)
+
+
+def test_unit_fold_is_metered_by_the_bits_of_its_ints(monkeypatch):
+    # the ints of this +-1 fold reach 922 bits; each entry is charged
+    # b*b >> 17 more for its b bits, as a Fraction is, so the fold is charged
+    # 108322 units, where its entry counts alone come to 38605
+    word = random_gnword(5, 8000, random.Random(1))
+    assignment = strand_assignment(5, {"t1": -1, "t2": -1, "s1": -1})
+    monkeypatch.setattr(matrixrep, "WORK_BUDGET", 2 ** 17)
+    numeric_rep_of_word(word, assignment)
+    monkeypatch.setattr(matrixrep, "WORK_BUDGET", 2 ** 16)
+    with pytest.raises(matrixrep.WorkBudgetError):
+        numeric_rep_of_word(word, assignment)
+
+
 def test_corner_entry_of_identity():
     m = identity_for(5)
     assert corner_entry(m, (1, 2), (1, 2)) == 1
@@ -378,3 +406,63 @@ def test_bigelow_braid_seen_by_the_event_representation():
     m = numeric_rep_of_word(phi_pure(bigelow_beta(5)), assignment)
     assert corner_entry(m, (1, 2), (1, 2)) == -399
     assert not m.is_identity()
+
+
+@pytest.mark.parametrize("n", range(5, 13))
+def test_kernel_braid_on_n_strands(n):
+    # beta's letters placed on n strands stay in the reduced Burau kernel;
+    # t1 = -1 alone detects them at odd n only, t1 = s1 = -1 at every n
+    beta = bigelow_beta(n)
+    assert beta.letters == bigelow_beta(5).letters
+    assert burau_reduced(beta).is_identity()
+    word = phi_pure(beta)
+    t1 = numeric_rep_of_word(word, strand_assignment(n, {"t1": -1}))
+    t1_s1 = numeric_rep_of_word(word, strand_assignment(n, {"t1": -1, "s1": -1}))
+    assert t1.is_identity() == (n % 2 == 0)
+    assert corner_entry(t1, (1, 2), (1, 2)) == (1 if n % 2 == 0 else -399)
+    assert corner_entry(t1_s1, (1, 2), (1, 2)) == -399
+
+
+def full_twist_squared(n):
+    """Delta^2, where Delta is the product over k = n-1, ..., 1 of s1 ... sk."""
+    delta = BraidWord(n, [(i, 1) for k in range(n - 1, 0, -1) for i in range(1, k + 1)])
+    return delta * delta
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_full_twist_is_in_the_kernel_but_not_in_burau(n):
+    # Delta^2 generates the centre of B_n; the representation kills it and
+    # Burau does not, so neither kernel contains the other
+    twist = full_twist_squared(n)
+    word = phi_pure(twist)
+    if n <= 6:
+        assert rep_of_word(word).is_identity()
+    else:
+        names = LaurentRing.for_strands(n).names
+        values = {name: Fraction(m + 2, 2 * m + 3) for m, name in enumerate(names)}
+        assert numeric_rep_of_word(word, values).is_identity()
+    assert not burau_unreduced(twist).is_identity()
+
+
+@pytest.mark.parametrize("n, letters", [(3, 0), (4, 0), (5, 36), (6, 80), (7, 150), (8, 252)])
+def test_full_twist_cancels_by_relations_1_and_2(n, letters):
+    # Delta^2 is in the kernel of phi itself
+    word = phi_pure(full_twist_squared(n))
+    assert len(word) == letters
+    assert len(cancel_relations_1_2(word)) == 0
+
+
+def test_cancellation_by_relations_1_and_2():
+    # a(1,2,3) commutes with a(4,5,1) (five indices) but not with a(1,2,4);
+    # a(3,2,1) is its inverse, and a(4,5,1) is written a(1,5,4)^-1
+    def word(*triples):
+        return GnWord(5, [(triple, 1) for triple in triples])
+
+    assert cancel_relations_1_2(word((1, 2, 3), (4, 5, 1), (3, 2, 1))) \
+        == GnWord(5, [((1, 5, 4), -1)])
+    assert cancel_relations_1_2(word((1, 2, 3), (1, 2, 4), (3, 2, 1))) \
+        == GnWord(5, [((1, 2, 3), 1), ((1, 2, 4), 1), ((1, 2, 3), -1)])
+    rng = random.Random(36)
+    for _ in range(20):
+        w = random_gnword(5, rng.randint(0, 10), rng)
+        assert rep_of_word(cancel_relations_1_2(w)) == rep_of_word(w)
