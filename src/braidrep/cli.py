@@ -7,18 +7,19 @@ braid, degenerate motion), 2 usage or parse error.  Options must be
 spelled in full; argparse's abbreviations are turned off.
 
 The command line uses the library's calibrated conventions only (the
-commutator and product order in braids and matrixrep).  simulate finds
-events exactly.
+commutator and product order in braids and matrixrep).  simulate and check
+oracle find events exactly; after a motion's first interval they solve only
+the point pairs and triples that hold a moving point.
 
 Input bounds, checked before anything is allocated: the strand count of phi,
 rep and burau (rep matrices are n(n-1) square), the text of a rational value
-(Fraction builds 10**E for a decimal exponent E), simulate --sigma N I with
-3 <= N <= 11 (collinearity.MAX_SIGMA_POINTS: beyond that the swap motion's
-event word is not the generator image), and simulate FILE with at most
-collinearity.MAX_FILE_BYTES bytes, MAX_POINTS points and MAX_TRIPLE_INTERVALS
-triple-intervals weighted by the size of their integers, bounded from the
-input floats before any exact number is built (detection refuses a file in
-which two points meet the same way).  The products and
+(Fraction builds 10**E for a decimal exponent E), simulate --sigma N I and
+check --n N oracle with 3 <= N <= 11 (collinearity.MAX_SIGMA_POINTS: beyond
+that the swap motion's event word is not the generator image), and simulate
+FILE with at most collinearity.MAX_FILE_BYTES bytes, MAX_POINTS points and
+MAX_TRIPLE_INTERVALS triple-intervals weighted by the size of their integers,
+bounded from the input floats before any exact number is built (detection
+refuses a file in which two points meet the same way).  The products and
 specialisations meter their own work against matrixrep.WORK_BUDGET; past it,
 or past a Laurent exponent slot (laurent.EXPONENT_LIMIT), the command exits 2
 with one line.
@@ -34,6 +35,7 @@ from functools import cache
 
 from .braids import BraidParseError, BraidWord, bigelow_beta
 from .collinearity import (
+    MAX_SIGMA_POINTS,
     DegenerateEventError,
     TrajectoryError,
     calibrate_against_phi,
@@ -245,7 +247,7 @@ def cmd_check(args):
     lo, hi, suite = {
         "gn-relations": (4, 8, check_relations),
         "braid-relations": (3, 8, check_braid_relations),
-        "oracle": (3, 8, calibrate_against_phi),
+        "oracle": (3, MAX_SIGMA_POINTS, calibrate_against_phi),
     }[args.which]
     if not lo <= args.n <= hi:
         raise CliError(

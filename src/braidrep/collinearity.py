@@ -6,7 +6,9 @@ Detection is exact.  Floats are dyadic rationals, so between consecutive
 breakpoint times a point moves as P0 + u D, u in [0, 1], with integer P0
 and D after scaling, and each orientation determinant is an integer
 quadratic in u, whose roots (p + q sqrt(d)) / r exact sign tests find,
-order and classify.  Event times are those roots rounded to floats.
+order and classify.  Event times are those roots rounded to floats.  After
+the first interval only the pairs and triples that hold a moving point are
+solved: the others cannot meet or turn collinear.
 
 Emission convention (calibrated, see calibrate_against_phi): an event with
 collinear points O1, O2, M, where M lies between the other two, is emitted
@@ -24,7 +26,7 @@ sigma_motion refuses more than MAX_SIGMA_POINTS = 11 points.
 import json
 import math
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cache, cmp_to_key
 from itertools import chain, combinations, repeat
 from operator import ge, or_
 from typing import NamedTuple
@@ -136,28 +138,38 @@ class TrajectorySet:
     def segments(self):
         """For each interval [times[k], times[k + 1]], built as it comes, every
         point's motion (x, y, dx, dy) in integers over one positive scale: the
-        point is at (x + u dx, y + u dy) / scale for u in [0, 1]."""
-        at, previous = [0] * self.n, None    # each path's first breakpoint at or after t
+        point is at (x + u dx, y + u dy) / scale for u in [0, 1].  While the
+        scale holds, a point that rests keeps one tuple (x, y, 0, 0)."""
+        ratios = [[x.as_integer_ratio() + y.as_integer_ratio() for _, x, y in path]
+                  for path in self.paths]    # each breakpoint's, read once
+        at = [0] * self.n    # each path's first breakpoint at or after t
+        scale, was, ends = None, [None] * self.n, [None] * self.n
         for t in self.times:
-            ratios = []
+            now = []
             for p, path in enumerate(self.paths):
                 while path[at[p]][0] < t:
                     at[p] += 1
                 # at time 0, path[-1] stands in for the breakpoint before path[0]
                 (t0, x0, y0), (t1, x, y) = path[at[p] - 1], path[at[p]]
-                if t != t1 and (x0, y0) != (x, y):
-                    u = (Fraction(t) - Fraction(t0)) / (Fraction(t1) - Fraction(t0))
-                    x, y = (Fraction(v0) + u * (Fraction(v1) - Fraction(v0))
-                            for v0, v1 in ((x0, x), (y0, y)))
-                ratios.append(x.as_integer_ratio() + y.as_integer_ratio())
-            scale = math.lcm(*(r[k] for r in ratios for k in (1, 3)))
-            ends = [(a * (scale // b), c * (scale // d)) for a, b, c, d in ratios]
-            if previous:
-                s0, starts = previous
+                if t == t1 or (x0, y0) == (x, y):
+                    now.append(ratios[p][at[p]])
+                    continue
+                u = (Fraction(t) - Fraction(t0)) / (Fraction(t1) - Fraction(t0))
+                x, y = (Fraction(v0) + u * (Fraction(v1) - Fraction(v0))
+                        for v0, v1 in ((x0, x), (y0, y)))
+                now.append(x.as_integer_ratio() + y.as_integer_ratio())
+            s0, scale, starts = scale, math.lcm(*(r[k] for r in now for k in (1, 3))), ends
+            # each end is (x, y, 0, 0): also the motion of a point resting there
+            ends = [end if scale == s0 and r == r0 else
+                    (r[0] * (scale // r[1]), r[2] * (scale // r[3]), 0, 0)
+                    for r, r0, end in zip(now, was, ends)]
+            if t:    # times[0] is 0
                 f0, f1 = math.lcm(s0, scale) // s0, math.lcm(s0, scale) // scale
-                yield [(x * f0, y * f0, x1 * f1 - x * f0, y1 * f1 - y * f0)
-                       for (x, y), (x1, y1) in zip(starts, ends)]
-            previous = scale, ends
+                yield [start if start is end else
+                       (start[0] * f0, start[1] * f0,
+                        end[0] * f1 - start[0] * f0, end[1] * f1 - start[1] * f0)
+                       for start, end in zip(starts, ends)]
+            was = now
 
 
 def load_trajectories(path):
@@ -226,31 +238,58 @@ def sigma_motion(n, i):
 def detect_events(ts):
     """All triple collinearity events of the motion, in time order.  Two
     points that meet raise TrajectoryError; a zero determinant at a breakpoint,
-    a tangency, or two events at the same instant raise DegenerateEventError."""
-    triples, events = list(combinations(range(1, ts.n + 1), 3)), []
-    for segment, t0, t1 in zip(ts.segments(), ts.times, ts.times[1:]):
-        cross = {}    # cross(P_p(u), P_q(u)) as a quadratic in u, for p < q
+    a tangency, or two events at the same instant raise DegenerateEventError.
+
+    The first interval solves every triple and checks every pair.  After it,
+    only the triples and pairs that hold a moving point are solved: where no
+    point moves, a determinant is constant and an earlier interval's end
+    test found it nonzero, and two points stay as far apart as they were."""
+    n = ts.n
+    pairs = list(combinations(range(n), 2))
+    slot = {pair: s for s, pair in enumerate(pairs)}
+    triples = [((a + 1, b + 1, c + 1), slot[a, b], slot[b, c], slot[a, c])
+               for a, b, c in combinations(range(n), 3)]
+
+    @cache
+    def touching(points):
+        """The pair slots and the triples that hold one of the points."""
+        hit = [p in points for p in range(n)]
+        return ([(s, p, q) for s, (p, q) in enumerate(pairs) if hit[p] or hit[q]],
+                [triple for triple in triples if any(hit[v - 1] for v in triple[0])])
+
+    cross, last, events = [None] * len(pairs), [None] * n, []
+    for k, (segment, t0, t1) in enumerate(zip(ts.segments(), ts.times, ts.times[1:])):
+        # cross(P_p(u), P_q(u)) as a quadratic in u, for p < q, kept while
+        # neither motion changes
+        for s, p, q in touching(tuple(p for p in range(n) if segment[p] != last[p]))[0]:
+            (x, y, dx, dy), (x2, y2, dx2, dy2) = segment[p], segment[q]
+            cross[s] = (dx * dy2 - dy * dx2, x * dy2 - y * dx2 + dx * y2 - dy * x2,
+                        x * y2 - y * x2)
+        last = segment
+        # the first interval checks every pair and solves every triple
+        moving = touching(tuple(p for p, (_, _, dx, dy) in enumerate(segment)
+                                if dx or dy or not k))
         own = [x * dy - y * dx for x, y, dx, dy in segment]
-        pairs = combinations(enumerate(segment, 1), 2)
-        for (p, (x, y, dx, dy)), (q, (x2, y2, dx2, dy2)) in pairs:
-            mid = x * dy2 - y * dx2 + dx * y2 - dy * x2
-            cross[p, q] = (dx * dy2 - dy * dx2, mid, x * y2 - y * x2)
+        for s, p, q in moving[0]:
             # P - Q moves from e to e + f, e x f = own(p) + own(q) - mid: it meets
             # 0 if e x f = 0 and e, e + f are not on one side of 0
-            if own[p - 1] + own[q - 1] == mid:
+            if own[p] + own[q] == cross[s][1]:
+                (x, y, dx, dy), (x2, y2, dx2, dy2) = segment[p], segment[q]
                 ex, ey, fx, fy = x - x2, y - y2, dx - dx2, dy - dy2
                 if ex * (ex + fx) + ey * (ey + fy) <= 0:
                     time = _time(t0, t1, (-(ex * fx + ey * fy), 0, 0, max(fx * fx + fy * fy, 1)))
-                    raise TrajectoryError(f"points {p} and {q} coincide at time {time:.6f}")
+                    raise TrajectoryError(
+                        f"points {p + 1} and {q + 1} coincide at time {time:.6f}")
         found = []
-        for a, b, c in triples:
+        for triple, ab, bc, ac in moving[1]:
             # det[P_b - P_a, P_c - P_a] = cross(a, b) + cross(b, c) - cross(a, c)
-            (a2, a1, a0), (b2, b1, b0), (c2, c1, c0) = cross[a, b], cross[b, c], cross[a, c]
+            (a2, a1, a0), (b2, b1, b0), (c2, c1, c0) = cross[ab], cross[bc], cross[ac]
             q2, q1, q0 = quad = (a2 + b2 - c2, a1 + b1 - c1, a0 + b0 - c0)
-            if q0 * (q2 + q1 + q0) > 0 and q2 * q0 <= 0:
-                continue    # equal end signs, opening away from zero: no root
-            found += [(_time(t0, t1, root), root, before, (a, b, c))
-                      for root, before in _crossings(quad, (a, b, c), t0, t1)]
+            end = q2 + q1 + q0
+            if q0 > 0 < end and not 0 < -q1 < 2 * q2 or q0 < 0 > end and not 0 < q1 < -2 * q2:
+                continue    # equal end signs, no vertex in (0, 1) turned to zero: no root
+            found += [(_time(t0, t1, root), root, before, triple)
+                      for root, before in _crossings(quad, triple, t0, t1)]
         found.sort(key=lambda event: event[0])    # leaves the exact sort little to do
         found.sort(key=cmp_to_key(_exact_order))
         events += [CollinearityEvent(time, _emitted(segment, triple, root, before))
@@ -266,7 +305,9 @@ def _sign(v):
 
 def _crossings(quad, triple, t0, t1):
     """Roots in (0, 1) of the integer quadratic a u^2 + b u + c, each with
-    the quadratic's sign just before it."""
+    the quadratic's sign just before it.  Where the end signs are equal,
+    detect_events calls it only if the vertex -b / 2a lies in (0, 1) with a
+    of their sign."""
     a, b, c = quad
     f0, f1, sa = _sign(c), _sign(a + b + c), _sign(a)
     if not f0 or not f1:
@@ -276,8 +317,7 @@ def _crossings(quad, triple, t0, t1):
         return [((-c * _sign(b), 0, 0, abs(b)), f0)]
     if f0 != f1:    # one root; the larger one is where the sign turns to a's
         return [((-b * sa, 1 if f1 == sa else -1, b * b - 4 * a * c, 2 * abs(a)), f0)]
-    # equal end signs: two roots if the vertex -b / 2a is in (0, 1) with the other sign
-    if sa != f0 or not 0 < -b * sa < 2 * a * sa or (disc := b * b - 4 * a * c) < 0:
+    if (disc := b * b - 4 * a * c) < 0:    # equal end signs: two roots or none
         return []
     if not disc:
         vertex = _time(t0, t1, (-b * sa, 0, 0, 2 * abs(a)))

@@ -16,16 +16,29 @@ tuple slot per ring variable in ring order, with no packing and no bound.
 
 The reference collinearity events work in Fractions throughout and
 isolate each root by bisection, where braidrep.collinearity scales to
-integers and compares roots in closed form.  The reference interval weights
-build the exact positions that braidrep.collinearity bounds from floats.
+integers and compares roots in closed form.  The every-triple events are
+braidrep.collinearity's integer detection without its savings: every point
+is rescaled at every breakpoint time, and every pair and every triple is
+solved on every interval.  The reference interval weights build the exact
+positions that braidrep.collinearity bounds from floats.
 """
 
 import math
 from bisect import bisect_left
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import combinations, permutations
 
 from braidrep import matrixrep
+from braidrep.collinearity import (
+    CollinearityEvent,
+    DegenerateEventError,
+    TrajectoryError,
+    _emitted,
+    _exact_order,
+    _sign,
+    _time,
+)
 from braidrep.laurent import LaurentRing
 from braidrep.matrixrep import (
     PRODUCT_WORD_ORDER,
@@ -294,3 +307,75 @@ def interval_weights(paths, interval_bits):
                        for v in values)
         weights.append(math.ceil(bits / interval_bits) ** 2)
     return weights
+
+
+def _every_segment(ts):
+    """Each interval's (x, y, dx, dy) of every point, every point read and
+    rescaled anew at every breakpoint time."""
+    at, previous = [0] * ts.n, None
+    for t in ts.times:
+        ratios = []
+        for p, path in enumerate(ts.paths):
+            while path[at[p]][0] < t:
+                at[p] += 1
+            (t0, x0, y0), (t1, x, y) = path[at[p] - 1], path[at[p]]
+            if t != t1 and (x0, y0) != (x, y):
+                u = (Fraction(t) - Fraction(t0)) / (Fraction(t1) - Fraction(t0))
+                x, y = (Fraction(v0) + u * (Fraction(v1) - Fraction(v0))
+                        for v0, v1 in ((x0, x), (y0, y)))
+            ratios.append(x.as_integer_ratio() + y.as_integer_ratio())
+        scale = math.lcm(*(r[k] for r in ratios for k in (1, 3)))
+        ends = [(a * (scale // b), c * (scale // d)) for a, b, c, d in ratios]
+        if previous:
+            s0, starts = previous
+            f0, f1 = math.lcm(s0, scale) // s0, math.lcm(s0, scale) // scale
+            yield [(x * f0, y * f0, x1 * f1 - x * f0, y1 * f1 - y * f0)
+                   for (x, y), (x1, y1) in zip(starts, ends)]
+        previous = scale, ends
+
+
+def _every_crossing(quad, triple, t0, t1):
+    """Roots in (0, 1) of a u^2 + b u + c with the sign just before each."""
+    a, b, c = quad
+    f0, f1, sa = _sign(c), _sign(a + b + c), _sign(a)
+    if not f0 or not f1:
+        raise DegenerateEventError(
+            f"determinant of {triple} touches zero at t={t1 if f0 else t0:.12f}")
+    if f0 != f1 and not a:
+        return [((-c * _sign(b), 0, 0, abs(b)), f0)]
+    if f0 != f1:
+        return [((-b * sa, 1 if f1 == sa else -1, b * b - 4 * a * c, 2 * abs(a)), f0)]
+    if sa != f0 or not 0 < -b * sa < 2 * a * sa or (disc := b * b - 4 * a * c) < 0:
+        return []
+    if not disc:
+        vertex = _time(t0, t1, (-b * sa, 0, 0, 2 * abs(a)))
+        raise DegenerateEventError(f"{triple} tangent to collinearity at t={vertex:.12f}")
+    return [((-b * sa, -1, disc, 2 * abs(a)), f0), ((-b * sa, 1, disc, 2 * abs(a)), -f0)]
+
+
+def every_triple_events(ts):
+    """braidrep.collinearity.detect_events of a TrajectorySet, with every pair
+    checked and every triple solved on every interval."""
+    triples, events = list(combinations(range(1, ts.n + 1), 3)), []
+    for segment, t0, t1 in zip(_every_segment(ts), ts.times, ts.times[1:]):
+        cross = {}
+        own = [x * dy - y * dx for x, y, dx, dy in segment]
+        for (p, (x, y, dx, dy)), (q, (x2, y2, dx2, dy2)) in combinations(enumerate(segment, 1), 2):
+            mid = x * dy2 - y * dx2 + dx * y2 - dy * x2
+            cross[p, q] = (dx * dy2 - dy * dx2, mid, x * y2 - y * x2)
+            if own[p - 1] + own[q - 1] == mid:
+                ex, ey, fx, fy = x - x2, y - y2, dx - dx2, dy - dy2
+                if ex * (ex + fx) + ey * (ey + fy) <= 0:
+                    time = _time(t0, t1, (-(ex * fx + ey * fy), 0, 0, max(fx * fx + fy * fy, 1)))
+                    raise TrajectoryError(f"points {p} and {q} coincide at time {time:.6f}")
+        found = []
+        for a, b, c in triples:
+            (a2, a1, a0), (b2, b1, b0), (c2, c1, c0) = cross[a, b], cross[b, c], cross[a, c]
+            quad = (a2 + b2 - c2, a1 + b1 - c1, a0 + b0 - c0)
+            found += [(_time(t0, t1, root), root, before, (a, b, c))
+                      for root, before in _every_crossing(quad, (a, b, c), t0, t1)]
+        found.sort(key=lambda event: event[0])
+        found.sort(key=cmp_to_key(_exact_order))
+        events += [CollinearityEvent(time, _emitted(segment, triple, root, before))
+                   for time, root, before, triple in found]
+    return events

@@ -280,6 +280,17 @@ def test_check_oracle(capsys):
     assert all(e["match"] == "exact" for e in doc["instances"])
 
 
+def test_check_oracle_runs_up_to_the_largest_swap_motion(capsys):
+    # the swap motion's word is the generator image for 3 <= n <= 11
+    code, out, _ = run(capsys, "check", "--n", str(collinearity.MAX_SIGMA_POINTS), "oracle")
+    doc = json.loads(out)
+    assert code == 0 and doc["passed"] is True and len(doc["instances"]) == 10
+    assert all(e["match"] == "exact" and e["events"] == 9 for e in doc["instances"])
+    code, out, err = run(capsys, "check", "--n", "12", "oracle")
+    assert code == 2 and out == ""
+    assert err == "check oracle supports 3 <= n <= 11\n"
+
+
 def test_check_oracle_reports_a_mismatch(capsys, monkeypatch):
     # a wrong algebraic image for generator 2 must fail that instance only
     real = collinearity.phi_generator

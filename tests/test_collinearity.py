@@ -363,3 +363,99 @@ def test_work_bound_is_an_upper_bound_of_the_exact_weights():
         else:
             loose += not bound_admits(paths, work)
     assert loose > 0    # the misaligned motions do interpolate points
+
+
+def braid_like_motion(rng, n, aligned, shift):
+    """n points resting on a 2^-20 grid at the magnitudes 2^-shift, 1 and
+    2^shift, moved in a few steps: in each, one point makes an excursion to
+    a waypoint and back, or two points swap through a waypoint each, while
+    the others rest.  Aligned paths turn at every step's start, middle and
+    end; otherwise each mover starts, turns and stops at its own times in
+    the first, middle and last third of the step, so that the points it
+    passes are interpolated and, with the magnitudes mixed, the common scale
+    changes from time to time."""
+    def grid():
+        scale = 2.0 ** rng.choice((-shift, 0, shift))
+        return (round(rng.uniform(-2, 2) * 2 ** 20) / 2 ** 20 * scale,
+                round(rng.uniform(-2, 2) * 2 ** 20) / 2 ** 20 * scale)
+
+    position = [grid() for _ in range(n)]
+    paths = [[(0.0, *xy)] for xy in position]
+    steps = rng.randint(2, 5)
+    for step in range(steps):
+        lo, hi = step / steps, (step + 1) / steps
+        movers = rng.sample(range(n), rng.choice((1, 2)))
+        targets = [position[q] for q in reversed(movers)]    # back home, or swapped
+        for p in range(n):
+            if p in movers:
+                target = targets[movers.index(p)]
+                # each mover starts before, and stops after, any other turns
+                times = ((lo, (lo + hi) / 2, hi) if aligned else
+                         [rng.uniform(lo + k * (hi - lo) / 3, lo + (k + 1) * (hi - lo) / 3)
+                          for k in range(3)])
+                turns = [position[p], grid(), target]
+                position[p] = target
+            elif aligned:
+                times, turns = (lo, (lo + hi) / 2, hi), [position[p]] * 3
+            else:
+                continue
+            paths[p] += [(t, *xy) for t, xy in zip(times, turns) if t > paths[p][-1][0]]
+    return [path + [(1.0, *position[p])] if path[-1][0] < 1.0 else path
+            for p, path in enumerate(paths)]
+
+
+def outcome(detect, ts):
+    """The events of detect(ts), or the type and text of what it raised."""
+    try:
+        return detect(ts)
+    except (TrajectoryError, DegenerateEventError) as exc:
+        return type(exc), str(exc)
+
+
+def test_events_match_the_every_triple_reference():
+    # detection solves only the pairs and triples that hold a moving point
+    # after the first interval; the reference solves all of them everywhere
+    rng = random.Random(20261022)
+    motions = [braid_like_motion(rng, 4 + trial % 5, aligned=trial % 2 == 0,
+                                 shift=(0, 30)[trial // 2 % 2]) for trial in range(40)]
+    total = 0
+    for paths in motions:
+        ts = TrajectorySet(paths)
+        expected = outcome(oracle.every_triple_events, ts)
+        assert outcome(detect_events, ts) == expected
+        total += len(expected) if isinstance(expected, list) else 0
+    assert total > 1000
+    for n in range(3, MAX_SIGMA_POINTS + 1):
+        for i in range(1, n):
+            ts = sigma_motion(n, i)
+            assert detect_events(ts) == oracle.every_triple_events(ts)
+
+
+@pytest.mark.parametrize("paths, error, message", [
+    # points 1, 2 and 3 rest on one line from t = 0 while point 4 moves
+    ([[(0.0, 0.0, 0.0), (1.0, 0.0, 0.0)], [(0.0, 1.0, 0.0), (1.0, 1.0, 0.0)],
+      [(0.0, 3.0, 0.0), (1.0, 3.0, 0.0)],
+      [(0.0, 1.0, 1.0), (0.5, 2.0, 3.0), (1.0, 1.0, 1.0)]],
+     DegenerateEventError, "determinant of (1, 2, 3) touches zero at t=0.000000000000"),
+    # point 3 reaches the line of points 1 and 2 at t = 0.5 and rests there
+    # while point 4 moves
+    ([[(0.0, 0.0, 0.0), (1.0, 0.0, 0.0)], [(0.0, 2.0, 0.0), (1.0, 2.0, 0.0)],
+      [(0.0, 1.0, 1.0), (0.25, 1.0, 1.0), (0.5, 1.0, 0.0), (0.75, 1.0, 0.0), (1.0, 1.0, 1.0)],
+      [(0.0, -1.0, 4.0), (0.25, -2.0, 6.0), (0.5, -1.0, 4.0), (0.625, -3.0, 5.0),
+       (0.75, -1.0, 4.0), (1.0, -1.0, 4.0)]],
+     DegenerateEventError, "determinant of (1, 2, 3) touches zero at t=0.500000000000"),
+    # points 1 and 2 rest at one place while point 3 moves
+    ([[(0.0, 0.0, 0.0), (1.0, 0.0, 0.0)], [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0)],
+      [(0.0, 1.0, 1.0), (0.5, 2.0, 3.0), (1.0, 1.0, 1.0)]],
+     TrajectoryError, "points 1 and 2 coincide at time 0.000000"),
+    # det(1, 2, 3) = (2u - 1)^2 / 4 beside two points at rest
+    ([[(0.0, 0.0, 0.0), (1.0, 0.0, 0.0)],
+      [(0.0, 1.0, -0.5), (0.5, 1.0, 0.5), (1.0, 1.0, -0.5)],
+      [(0.0, 2.5, -1.0), (0.5, 1.5, 1.0), (1.0, 2.5, -1.0)],
+      [(0.0, 5.0, 7.0), (1.0, 5.0, 7.0)], [(0.0, -6.0, 9.0), (1.0, -6.0, 9.0)]],
+     DegenerateEventError, "(1, 2, 3) tangent to collinearity at t=0.250000000000"),
+])
+def test_degenerate_motions_raise_as_the_every_triple_reference(paths, error, message):
+    ts = TrajectorySet(paths)
+    assert outcome(oracle.every_triple_events, ts) == (error, message)
+    assert outcome(detect_events, ts) == (error, message)
